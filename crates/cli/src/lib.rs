@@ -207,7 +207,7 @@ pub fn run_bound(
                 upper: cost,
                 gap: 0.0,
                 optimal: true,
-                nodes: 0,
+                nodes: solution.nodes,
             }
         }
         Err(SolveError::BudgetExhausted {
@@ -919,6 +919,23 @@ mod tests {
             assert!(out.report.contains("<= OPT <="), "{}", out.report);
             assert!(payload.gap >= 0.0);
         }
+    }
+
+    #[test]
+    fn bound_command_reports_the_nodes_that_proved_the_optimum() {
+        // `generate --class general --jobs 40 --capacity 4 --seed 2012`: above the DP
+        // ceiling, and its warm start misses the relaxation, so branch-and-bound has
+        // to search before it proves the optimum — and the payload must say so.
+        let out = run_generate(WorkloadClass::General, 40, 4, 2012).unwrap();
+        let file = InstanceFile::from_json(&out.file_payload.unwrap()).unwrap();
+        let out = run_bound(&file, None, None).unwrap();
+        let payload: BoundReport = serde_json::from_str(&out.file_payload.unwrap()).unwrap();
+        assert_eq!(payload.algorithm, "exact-bnb");
+        assert!(payload.optimal, "{}", out.report);
+        assert!(
+            payload.nodes > 0,
+            "an optimum proven by search reports its nodes"
+        );
     }
 
     #[test]

@@ -763,16 +763,16 @@ impl Solver {
             return None;
         }
         match oracle.solve_min_busy(instance, &self.policy.exact_budget, backend) {
-            Ok(ExactOutcome::Optimal { schedule, cost, .. }) => {
+            Ok(ExactOutcome::Optimal {
+                schedule,
+                cost,
+                nodes,
+            }) => {
                 trace.push(DispatchAttempt::selected(chosen));
                 let trace = std::mem::take(trace);
-                Some(Ok(self.finish(
-                    chosen,
-                    schedule,
-                    Objective::BusyTime(cost),
-                    instance,
-                    trace,
-                )))
+                let solution =
+                    self.finish(chosen, schedule, Objective::BusyTime(cost), instance, trace);
+                Some(Ok(Solution { nodes, ..solution }))
             }
             Ok(ExactOutcome::Exhausted {
                 lower,
@@ -904,9 +904,15 @@ impl Solver {
             _ => ExactBackend::BranchAndBound,
         };
         match oracle.solve_min_busy(instance, &self.policy.exact_budget, backend) {
-            Ok(ExactOutcome::Optimal { schedule, cost, .. }) => {
+            Ok(ExactOutcome::Optimal {
+                schedule,
+                cost,
+                nodes,
+            }) => {
                 let trace = vec![DispatchAttempt::selected(forced)];
-                Ok(self.finish(forced, schedule, Objective::BusyTime(cost), instance, trace))
+                let solution =
+                    self.finish(forced, schedule, Objective::BusyTime(cost), instance, trace);
+                Ok(Solution { nodes, ..solution })
             }
             Ok(ExactOutcome::Exhausted {
                 lower,
@@ -1001,6 +1007,7 @@ impl Solver {
             guarantee: algorithm.guarantee(instance.capacity()),
             bounds: InstanceBounds::of(instance),
             trace,
+            nodes: 0,
         }
     }
 }
@@ -1244,6 +1251,9 @@ pub struct Solution {
     /// Every algorithm considered during dispatch, in order, with its outcome; the last
     /// entry is always the selected one.
     pub trace: Vec<DispatchAttempt>,
+    /// Search nodes the exact oracle explored to prove this schedule optimal (0 for the
+    /// polynomial algorithms and the subset DP).
+    pub nodes: u64,
 }
 
 impl Solution {

@@ -9,49 +9,78 @@
 //! budget.  Within a component it branches on jobs in canonical order — earliest start
 //! first, ties by longest first — and each node assigns the next job either to one of
 //! the machines already opened (one child per *distinct* machine with a free thread)
-//! or to exactly one fresh machine.  Opening machines in branch order and deduplicating
-//! machines with identical content removes the machine-permutation symmetry without
-//! losing any schedule.
+//! or to exactly one fresh machine.  Opening machines in branch order and skipping
+//! machines whose interval lists equal an earlier candidate's removes the
+//! machine-permutation symmetry without losing any schedule.  Children are tried
+//! cheapest marginal cost first (ties in machine order, the fresh machine last).
 //!
-//! Because starts are non-decreasing along a branch, the greedy per-thread placement of
-//! [`MachineState::first_free_thread`] is a *complete* capacity check: it fails exactly
-//! when the job would push some machine past `g` simultaneous jobs (left-endpoint
-//! greedy coloring of an interval graph is optimal).
+//! Because starts are non-decreasing along a branch, every job already on a machine
+//! starts at or before the next window `[s, e)`.  Two facts follow, and together they
+//! replace any per-machine interval structure:
+//!
+//! * the machine covers `[s, ∞)` on exactly `[s, reach)`, where `reach` is its
+//!   furthest end, so the window is newly covered on `[max(s, reach), e)` — that is
+//!   the marginal cost;
+//! * a job on the machine conflicts with the window iff it ends after `s`, and such a
+//!   job is the last one on its thread, so a thread is free iff its end is `≤ s`.
+//!   Left-endpoint greedy coloring of an interval graph is optimal, so "some thread
+//!   end `≤ s`" is a *complete* capacity check, and which free thread takes the job
+//!   never matters to a later job.
+//!
+//! Each machine is therefore just its `reach`, its thread ends (`min(g, n)` of them)
+//! and the head of a per-job linked list of its jobs (read only to compare machines
+//! and to report schedules); insert and undo are `O(1)` apart from the ledger below.
 //!
 //! # Bound stack
 //!
+//! Every bound is read off one **segment ledger** per component.  The component's job
+//! endpoints, sorted and deduplicated, cut the line into at most `2n − 1` elementary
+//! segments; segment `k` keeps its static length `len[k]` and
+//! `need[k] = ⌈depth(k)/g⌉`, the live `busy[k]` (how many open machines cover it), and
+//! the ledger keeps the running total `Σ len·max(busy, need)`.
+//!
 //! * **Warm start** — the incumbent opens as the better of the paper's FirstFit
 //!   (canonical longest-first order) and FirstFit in branch order, then *polished* by a
-//!   strictly-improving single-job relocation descent ([`polish`]).  Every new
+//!   strictly-improving single-job relocation descent (`polish`).  Every new
 //!   incumbent the search finds is polished the same way: on instances whose optimum
 //!   meets the clique relaxation, landing the incumbent on it ends the search
 //!   immediately, so incumbent quality is a pruning lever, not cosmetics.
-//! * **Static clique relaxation** — `∫ ⌈depth(t)/g⌉ dt` over the whole component,
-//!   computed once from the depth profile; no schedule can beat it (Observation 2.1
-//!   generalized pointwise).
-//! * **Committed cost** — the sum of the open machines' busy times, maintained
-//!   incrementally from [`MachineState::insert`] deltas; machine unions only grow, so
-//!   it never decreases along a branch.
-//! * **Incremental pricing** — `∫ max(busy(t), ⌈depth(t)/g⌉) dt`, where `busy(t)`
-//!   counts machines whose current job union covers `t`: every open machine stays busy
-//!   wherever it is busy now, and the unassigned jobs still force `⌈depth/g⌉` machines
-//!   pointwise.  This dominates both cheaper bounds and is only priced when they fail
-//!   to prune.
+//! * **Static clique relaxation** — `Σ len·need = ∫ ⌈depth(t)/g⌉ dt` over the whole
+//!   component: the ledger's total before any job is placed.  No schedule can beat it
+//!   (Observation 2.1 generalized pointwise).
+//! * **Committed cost** — the sum of the open machines' busy times, the running sum of
+//!   the children's marginal costs; machine unions only grow, so it never decreases
+//!   along a branch.
+//! * **Pricing bound** — `∫ max(busy(t), ⌈depth(t)/g⌉) dt`, the ledger's running
+//!   total: every open machine stays busy wherever it is busy now, and the unassigned
+//!   jobs still force `⌈depth/g⌉` machines pointwise.  It dominates both cheaper
+//!   bounds, which are still tried first because they prune a child before it is
+//!   placed.
+//!
+//! Placing a job bumps `busy` on exactly the segments it newly covers, updating the
+//! total as it goes, and undo walks the same segments back; reading the bound is
+//! `O(1)`.  So an insert or undo costs `O(segments touched)`, a node adds
+//! `O(machines · g)` for the capacity checks, and an interior node neither sorts nor
+//! allocates: children are kept in cost order by insertion as they are generated, on
+//! one flat stack that every depth reuses (it grows only when a path outgrows every
+//! earlier one).  Memory is `O(segments + machines · g)` per component.
 //!
 //! # Budget semantics
 //!
 //! The node budget ([`busytime::ExactBudget`]) is deterministic; the optional
-//! wall-clock cap is for interactive use.  When the budget runs out the search
-//! *abandons* the open subtrees but remembers the smallest lower bound among them, so
-//! the reported pair stays sound: `lower = max(static, min(upper, abandoned))` per
-//! component, summed across components.  Bounds are therefore valid even on
-//! exhaustion — `lower ≤ OPT ≤ upper` always holds.
+//! wall-clock cap is for interactive use and bounds polishing as well as the search
+//! (a polish cut short still leaves a valid incumbent, whose cost is the upper bound).
+//! When the budget runs out the search *abandons* the open subtrees but remembers the
+//! smallest lower bound among them, so the reported pair stays sound:
+//! `lower = max(static, min(upper, abandoned))` per component, summed across
+//! components.  Bounds are therefore valid even on exhaustion — `lower ≤ OPT ≤ upper`
+//! always holds.
 
 use std::time::Instant;
 
 use busytime::minbusy::{first_fit, first_fit_in_order};
-use busytime::{Duration, ExactBudget, ExactOutcome, Instance, MachineState, Schedule};
-use busytime_interval::{union, Interval};
+use busytime::{Duration, ExactBudget, ExactOutcome, Instance, Schedule};
+use busytime_interval::Interval;
 
 /// Exact MinBusy by branch-and-bound over job→machine assignments.
 ///
@@ -73,13 +102,15 @@ pub(crate) struct NodeView<'a> {
     pub lower: Duration,
     /// Component-local ids of the not-yet-assigned jobs, in branch order.
     pub unassigned: &'a [usize],
+    /// Each open machine's intervals, in placement order.
+    pub machines: Vec<Vec<Interval>>,
 }
 
 /// A per-node callback: `(component instance, node view)`.
 pub(crate) type NodeVisitor<'a> = dyn FnMut(&Instance, &NodeView<'_>) + 'a;
 
 /// [`branch_and_bound`] with an optional per-node visitor (used by the bound-soundness
-/// proptests to cross-check every explored node against the subset DP).
+/// proptests to cross-check every explored node).
 pub(crate) fn branch_and_bound_with_visitor(
     instance: &Instance,
     budget: &ExactBudget,
@@ -131,54 +162,87 @@ pub(crate) fn branch_and_bound_with_visitor(
     }
 }
 
-/// The static clique relaxation `∫ ⌈depth(t)/g⌉ dt`: with `v[k-1]` the length covered
-/// by at least `k` jobs, the integral telescopes to `v[0] + v[g] + v[2g] + …`.
-fn clique_relaxation_lb(comp: &Instance) -> i64 {
-    let per_depth = comp.depth_profile().per_depth_lengths();
-    let g = comp.capacity();
-    let mut total = 0i64;
-    let mut k = 0usize;
-    while k < per_depth.len() {
-        total += per_depth[k].ticks();
-        k += g;
+/// Reusable scratch for pricing one job window against one machine group in
+/// [`polish`]: the group's jobs clipped to the window, as sweep events.
+#[derive(Default)]
+struct WindowProbe {
+    events: Vec<(i64, i32)>,
+}
+
+impl WindowProbe {
+    /// `(covered, depth)` of `group` (minus job `skip`) inside the window `[s, e)`: the
+    /// length of the window its jobs cover, and the most of them running at once there.
+    fn measure(
+        &mut self,
+        comp: &Instance,
+        group: &[usize],
+        (s, e): (i64, i64),
+        skip: usize,
+    ) -> (i64, usize) {
+        self.events.clear();
+        for &j in group {
+            let iv = comp.job(j);
+            let (a, b) = (iv.start().ticks(), iv.end().ticks());
+            if j != skip && a < e && s < b {
+                self.events.push((a.max(s), 1));
+                self.events.push((b.min(e), -1));
+            }
+        }
+        // Ends sort before starts at equal time: touching jobs do not overlap.
+        self.events.sort_unstable();
+        let (mut covered, mut depth, mut deepest, mut prev) = (0i64, 0i32, 0i32, s);
+        for &(x, step) in &self.events {
+            if depth > 0 {
+                covered += x - prev;
+            }
+            depth += step;
+            deepest = deepest.max(depth);
+            prev = x;
+        }
+        (covered, deepest as usize)
     }
-    total
 }
 
 /// Strictly-improving single-job relocation descent on a complete assignment: move any
 /// job to an open machine (or a fresh one) whenever the move lowers total busy time,
-/// until no such move exists.  Total cost is a strictly decreasing non-negative
-/// integer, so the loop terminates.  Feasibility on the target is checked directly on
-/// the interval multiset (`max_overlap ≤ g`), so no thread bookkeeping is needed.
+/// until no such move exists or `deadline` passes.  Total cost is a strictly
+/// decreasing non-negative integer, so the loop terminates; stopping early leaves a
+/// valid assignment whose cost is the returned value.
+///
+/// A move is priced from the job's window alone: it frees the part of the window no
+/// other job on its machine covers, and costs the part the target leaves uncovered.
+/// The target is feasible iff fewer than `g` of its jobs run at once inside the window
+/// (the group itself already respects `g`), so no thread bookkeeping is needed.
 ///
 /// Returns the polished cost; `assignment` is rewritten in place (machine ids stay
 /// contiguous from 0).
-fn polish(comp: &Instance, assignment: &mut [usize]) -> i64 {
+fn polish(comp: &Instance, assignment: &mut [usize], deadline: Option<Instant>) -> i64 {
     let g = comp.capacity();
     let machines = assignment.iter().copied().max().map_or(0, |m| m + 1);
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); machines];
     for (job, &m) in assignment.iter().enumerate() {
         groups[m].push(job);
     }
-    let busy = |group: &[usize]| -> i64 {
-        let ivs: Vec<Interval> = group.iter().map(|&j| comp.job(j)).collect();
-        union(&ivs).iter().map(|s| s.len().ticks()).sum()
-    };
-    let mut cost: i64 = groups.iter().map(|group| busy(group)).sum();
-    loop {
+    let mut probe = WindowProbe::default();
+    let everywhere = (i64::MIN, i64::MAX);
+    let mut cost: i64 = groups
+        .iter()
+        .map(|group| probe.measure(comp, group, everywhere, usize::MAX).0)
+        .sum();
+    'descent: loop {
         let mut improved = false;
         // A move rewrites `assignment[job]` and two `groups` entries mid-scan,
         // so indexed access is required here.
         #[allow(clippy::needless_range_loop)]
         for job in 0..comp.len() {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                break 'descent;
+            }
             let iv = comp.job(job);
+            let window = (iv.start().ticks(), iv.end().ticks());
+            let fresh = iv.len().ticks();
             let source = assignment[job];
-            let without: Vec<usize> = groups[source]
-                .iter()
-                .copied()
-                .filter(|&j| j != job)
-                .collect();
-            let gain = busy(&groups[source]) - busy(&without);
+            let gain = fresh - probe.measure(comp, &groups[source], window, job).0;
             if gain <= 0 {
                 continue;
             }
@@ -189,17 +253,15 @@ fn polish(comp: &Instance, assignment: &mut [usize]) -> i64 {
                 if m == source {
                     continue;
                 }
-                let mut ivs: Vec<Interval> = group.iter().map(|&j| comp.job(j)).collect();
-                ivs.push(iv);
-                if busytime_interval::max_overlap(&ivs) > g {
+                let (covered, depth) = probe.measure(comp, group, window, usize::MAX);
+                if depth >= g {
                     continue;
                 }
-                let added = union(&ivs).iter().map(|s| s.len().ticks()).sum::<i64>() - busy(group);
+                let added = fresh - covered;
                 if best.is_none_or(|(_, b)| added < b) {
                     best = Some((m, added));
                 }
             }
-            let fresh = iv.len().ticks();
             let (target, added) = match best {
                 Some((m, added)) if added <= fresh => (m, added),
                 _ => (groups.len(), fresh),
@@ -255,7 +317,8 @@ fn solve_component(
     visitor: Option<&mut NodeVisitor<'_>>,
 ) -> ComponentResult {
     let n = comp.len();
-    let static_lb = clique_relaxation_lb(comp);
+    let (ledger, span) = Ledger::new(comp);
+    let static_lb = ledger.total;
 
     // Branch order: earliest start first, ties longest first.
     let mut order: Vec<usize> = (0..n).collect();
@@ -276,16 +339,20 @@ fn solve_component(
         .iter()
         .map(|m| m.expect("first_fit schedules every job"))
         .collect();
-    let best_cost = polish(comp, &mut best_assignment);
+    let best_cost = polish(comp, &mut best_assignment, deadline);
 
+    let threads = comp.capacity().min(n);
     let mut search = Search {
         comp,
-        capacity: comp.capacity(),
         order,
-        depth_events: depth_events(comp),
+        span,
+        ledger,
         static_lb,
-        machines: Vec::new(),
-        assigned: Vec::new(),
+        machines: Vec::with_capacity(n),
+        threads,
+        thread_ends: Vec::with_capacity(n * threads),
+        below: vec![NO_JOB; n],
+        children: Vec::with_capacity(2 * n + 2),
         current: vec![usize::MAX; n],
         best_cost,
         best_assignment,
@@ -298,7 +365,7 @@ fn solve_component(
     };
     // The warm start may already match the relaxation; then no node needs exploring.
     if search.best_cost > static_lb {
-        search.dfs(0, 0, static_lb);
+        search.dfs(0, 0);
     }
 
     let optimal = !search.exhausted;
@@ -321,29 +388,155 @@ fn solve_component(
     }
 }
 
-/// `(+1 at start, -1 at end)` events of every job in the component, sorted.
-fn depth_events(comp: &Instance) -> Vec<(i64, i32)> {
-    let mut events = Vec::with_capacity(2 * comp.len());
-    for iv in comp.jobs() {
-        events.push((iv.start().ticks(), 1));
-        events.push((iv.end().ticks(), -1));
+/// One elementary segment of a component's compressed time line.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    /// Static length in ticks.
+    len: i64,
+    /// `⌈depth/g⌉`: machines every schedule runs on this segment.
+    need: u32,
+    /// Open machines whose jobs cover this segment.
+    busy: u32,
+}
+
+/// The component's segment ledger: `coords` cut the line into `segments`, and
+/// `total = Σ len·max(busy, need)` is kept live under [`Ledger::cover`] and
+/// [`Ledger::uncover`].
+struct Ledger {
+    /// Sorted distinct job endpoints; segment `k` is `[coords[k], coords[k + 1])`.
+    coords: Vec<i64>,
+    segments: Vec<Segment>,
+    total: i64,
+}
+
+impl Ledger {
+    /// The ledger of `comp` with nothing placed (so `total` is the static clique
+    /// relaxation), plus every job's `(start, end)` as indices into `coords`.
+    fn new(comp: &Instance) -> (Ledger, Vec<(u32, u32)>) {
+        let mut coords: Vec<i64> = comp
+            .jobs()
+            .iter()
+            .flat_map(|iv| [iv.start().ticks(), iv.end().ticks()])
+            .collect();
+        coords.sort_unstable();
+        coords.dedup();
+        let index = |x: i64| {
+            let k = coords.binary_search(&x).expect("a job endpoint");
+            u32::try_from(k).expect("fewer than 2^32 distinct endpoints")
+        };
+        let span: Vec<(u32, u32)> = comp
+            .jobs()
+            .iter()
+            .map(|iv| (index(iv.start().ticks()), index(iv.end().ticks())))
+            .collect();
+        let mut step = vec![0i64; coords.len()];
+        for &(s, e) in &span {
+            step[s as usize] += 1;
+            step[e as usize] -= 1;
+        }
+        let g = comp.capacity() as i64;
+        let mut depth = 0i64;
+        let segments: Vec<Segment> = coords
+            .windows(2)
+            .zip(&step)
+            .map(|(pair, &delta)| {
+                depth += delta;
+                Segment {
+                    len: pair[1] - pair[0],
+                    need: ((depth + g - 1) / g) as u32,
+                    busy: 0,
+                }
+            })
+            .collect();
+        let total = segments
+            .iter()
+            .map(|seg| seg.len * i64::from(seg.need))
+            .sum();
+        (
+            Ledger {
+                coords,
+                segments,
+                total,
+            },
+            span,
+        )
     }
-    events.sort_unstable();
-    events
+
+    /// Length in ticks from coordinate `from` to coordinate `to`.
+    fn length(&self, from: u32, to: u32) -> i64 {
+        self.coords[to as usize] - self.coords[from as usize]
+    }
+
+    /// One more machine covers segments `from..to`.
+    fn cover(&mut self, from: u32, to: u32) {
+        for seg in &mut self.segments[from as usize..to as usize] {
+            if seg.busy >= seg.need {
+                self.total += seg.len;
+            }
+            seg.busy += 1;
+        }
+    }
+
+    /// Undo [`Ledger::cover`] of the same range.
+    fn uncover(&mut self, from: u32, to: u32) {
+        for seg in &mut self.segments[from as usize..to as usize] {
+            seg.busy -= 1;
+            if seg.busy >= seg.need {
+                self.total -= seg.len;
+            }
+        }
+    }
+}
+
+/// End of the linked list threading a machine's jobs.
+const NO_JOB: usize = usize::MAX;
+
+/// An open machine: enough to price, admit and undo the next placement exactly (see
+/// the module docs), plus the head of its job list.
+#[derive(Debug, Clone, Copy)]
+struct Machine {
+    /// Furthest end of the machine's jobs, as a coordinate index.
+    reach: u32,
+    /// The machine's most recently placed job; `Search::below` links the rest.
+    last: usize,
+    /// Number of jobs on the machine.
+    jobs: usize,
+}
+
+/// One child of a node: the next job goes on `machine` (the open-machine count = a
+/// fresh one), on `thread`, raising committed cost by `delta`.
+#[derive(Debug, Clone, Copy)]
+struct Child {
+    machine: usize,
+    thread: usize,
+    delta: i64,
+}
+
+/// What [`Search::place`] overwrote, for [`Search::unplace`].
+struct Placed {
+    reach: u32,
+    thread_end: u32,
 }
 
 /// Depth-first search state for one component.
 struct Search<'a, 'v> {
     comp: &'a Instance,
-    capacity: usize,
     /// Jobs in branch order (non-decreasing starts).
     order: Vec<usize>,
-    depth_events: Vec<(i64, i32)>,
+    /// `span[job] = (start, end)` as coordinate indices into the ledger.
+    span: Vec<(u32, u32)>,
+    ledger: Ledger,
     static_lb: i64,
-    machines: Vec<MachineState>,
-    /// Per machine, its assigned intervals in insertion (hence start) order — the
-    /// ground truth for dominance checks and for the pricing bound's union segments.
-    assigned: Vec<Vec<Interval>>,
+    machines: Vec<Machine>,
+    /// Threads per machine: `min(g, n)`, as no machine can run more than `n` jobs.
+    threads: usize,
+    /// `thread_ends[m * threads + t]`: the end of thread `t` of machine `m`, as a
+    /// coordinate index (0 while the thread is empty).
+    thread_ends: Vec<u32>,
+    /// `below[job]`: the job placed on the same machine just before it.
+    below: Vec<usize>,
+    /// The children of every node on the current path, deepest last.
+    children: Vec<Child>,
     /// `current[job] = machine`, `usize::MAX` while unassigned.
     current: Vec<usize>,
     best_cost: i64,
@@ -358,7 +551,8 @@ struct Search<'a, 'v> {
 }
 
 impl Search<'_, '_> {
-    fn dfs(&mut self, depth: usize, committed: i64, node_lb: i64) {
+    fn dfs(&mut self, depth: usize, committed: i64) {
+        let node_lb = self.ledger.total;
         if self.exhausted
             || *self.nodes >= self.max_nodes
             || self.deadline.is_some_and(|d| Instant::now() >= d)
@@ -368,16 +562,8 @@ impl Search<'_, '_> {
             return;
         }
         *self.nodes += 1;
-        if let Some(visitor) = self.visitor.take() {
-            visitor(
-                self.comp,
-                &NodeView {
-                    committed: Duration::new(committed),
-                    lower: Duration::new(node_lb),
-                    unassigned: &self.order[depth..],
-                },
-            );
-            self.visitor = Some(visitor);
+        if self.visitor.is_some() {
+            self.visit(depth, committed, node_lb);
         }
         if depth == self.order.len() {
             // Strictly better only: ties keep the earlier (canonical) incumbent.
@@ -385,7 +571,7 @@ impl Search<'_, '_> {
             // can reach, pruning the rest of it wholesale.
             if committed < self.best_cost {
                 let mut polished = self.current.clone();
-                let polished_cost = polish(self.comp, &mut polished);
+                let polished_cost = polish(self.comp, &mut polished, self.deadline);
                 debug_assert!(polished_cost <= committed);
                 self.best_cost = polished_cost;
                 self.best_assignment = polished;
@@ -393,77 +579,208 @@ impl Search<'_, '_> {
             return;
         }
         let job = self.order[depth];
-        let iv = self.comp.job(job);
+        let (s, e) = self.span[job];
 
         // Children: every *distinct* open machine with a free thread, plus one fresh
-        // machine; cheapest marginal cost first so the dive improves the incumbent
-        // early.  Machines with identical content (digest pre-filter, interval-list
-        // confirmation) are interchangeable — only the first of each class branches.
-        let mut children: Vec<(usize, usize, i64)> = Vec::with_capacity(self.machines.len() + 1);
+        // machine, kept in order of marginal cost as they are generated (stable, so
+        // ties stay in machine order and the fresh machine comes last).
+        let base = self.children.len();
         'candidates: for m in 0..self.machines.len() {
-            let Some(thread) = self.machines[m].first_free_thread(iv) else {
+            let ends = &self.thread_ends[m * self.threads..(m + 1) * self.threads];
+            let Some(thread) = ends.iter().position(|&end| end <= s) else {
                 continue;
             };
-            for &(earlier, _, _) in &children {
-                if earlier != usize::MAX
-                    && self.machines[earlier].digest() == self.machines[m].digest()
-                    && self.assigned[earlier] == self.assigned[m]
-                {
+            for earlier in base..self.children.len() {
+                if self.same_jobs(self.children[earlier].machine, m) {
                     continue 'candidates;
                 }
             }
-            children.push((m, thread, self.machines[m].marginal_busy(iv).ticks()));
+            let from = s.max(self.machines[m].reach);
+            let delta = if e > from {
+                self.ledger.length(from, e)
+            } else {
+                0
+            };
+            self.push_child(
+                base,
+                Child {
+                    machine: m,
+                    thread,
+                    delta,
+                },
+            );
         }
-        children.push((usize::MAX, 0, iv.len().ticks()));
-        children.sort_by_key(|&(_, _, delta)| delta);
+        let fresh = Child {
+            machine: self.machines.len(),
+            thread: 0,
+            delta: self.ledger.length(s, e),
+        };
+        self.push_child(base, fresh);
 
-        for (machine, thread, delta) in children {
-            let child_committed = committed + delta;
+        for i in base..self.children.len() {
+            let child = self.children[i];
+            let child_committed = committed + child.delta;
             if child_committed.max(self.static_lb) >= self.best_cost {
                 continue;
             }
-            let (machine, opened) = if machine == usize::MAX {
-                self.machines.push(MachineState::new(self.capacity));
-                self.assigned.push(Vec::new());
-                (self.machines.len() - 1, true)
-            } else {
-                (machine, false)
-            };
-            let applied = self.machines[machine].insert(iv, thread);
-            debug_assert_eq!(applied.ticks(), delta);
-            self.assigned[machine].push(iv);
-            self.current[job] = machine;
-
-            let child_lb = self.pricing_lb();
+            let placed = self.place(job, child);
+            let child_lb = self.ledger.total;
             debug_assert!(child_lb >= child_committed && child_lb >= self.static_lb);
             if child_lb < self.best_cost {
-                self.dfs(depth + 1, child_committed, child_lb);
+                self.dfs(depth + 1, child_committed);
             }
+            self.unplace(job, child, placed);
+        }
+        self.children.truncate(base);
+    }
 
-            self.current[job] = usize::MAX;
-            self.assigned[machine].pop();
-            self.machines[machine].remove(iv, thread);
-            if opened {
-                self.machines.pop();
-                self.assigned.pop();
+    /// Append `child` to the node's children (those from `base` on), keeping them in
+    /// non-decreasing `delta`; equal deltas keep their generation order.
+    fn push_child(&mut self, base: usize, child: Child) {
+        let mut at = self.children.len();
+        self.children.push(child);
+        while at > base && self.children[at - 1].delta > child.delta {
+            self.children.swap(at - 1, at);
+            at -= 1;
+        }
+    }
+
+    /// Do machines `a` and `b` run the same intervals?  Jobs land in branch order, so
+    /// equal multisets are equal lists.
+    fn same_jobs(&self, a: usize, b: usize) -> bool {
+        let (ma, mb) = (self.machines[a], self.machines[b]);
+        if ma.jobs != mb.jobs || ma.reach != mb.reach {
+            return false;
+        }
+        let (mut x, mut y) = (ma.last, mb.last);
+        while x != NO_JOB {
+            if self.span[x] != self.span[y] {
+                return false;
+            }
+            (x, y) = (self.below[x], self.below[y]);
+        }
+        true
+    }
+
+    /// Put `job` on `child`'s machine (opening it if fresh) and update the ledger.
+    fn place(&mut self, job: usize, child: Child) -> Placed {
+        let (s, e) = self.span[job];
+        if child.machine == self.machines.len() {
+            self.machines.push(Machine {
+                reach: 0,
+                last: NO_JOB,
+                jobs: 0,
+            });
+            self.thread_ends
+                .resize(self.thread_ends.len() + self.threads, 0);
+        }
+        let m = &mut self.machines[child.machine];
+        let reach = m.reach;
+        let from = s.max(reach);
+        if e > from {
+            m.reach = e;
+            self.ledger.cover(from, e);
+        }
+        self.below[job] = m.last;
+        m.last = job;
+        m.jobs += 1;
+        let slot = child.machine * self.threads + child.thread;
+        let thread_end = std::mem::replace(&mut self.thread_ends[slot], e);
+        self.current[job] = child.machine;
+        Placed { reach, thread_end }
+    }
+
+    /// Undo the [`Search::place`] of `job` on `child` that returned `placed`.
+    fn unplace(&mut self, job: usize, child: Child, placed: Placed) {
+        let (s, e) = self.span[job];
+        self.current[job] = usize::MAX;
+        self.thread_ends[child.machine * self.threads + child.thread] = placed.thread_end;
+        let m = &mut self.machines[child.machine];
+        m.jobs -= 1;
+        m.last = self.below[job];
+        let from = s.max(placed.reach);
+        if e > from {
+            m.reach = placed.reach;
+            self.ledger.uncover(from, e);
+        }
+        if m.jobs == 0 {
+            // The placement opened this machine, so it is the last one.
+            debug_assert_eq!(child.machine + 1, self.machines.len());
+            self.machines.pop();
+            self.thread_ends.truncate(child.machine * self.threads);
+        }
+    }
+
+    /// Hand the current node to the visitor, if any.
+    fn visit(&mut self, depth: usize, committed: i64, node_lb: i64) {
+        let Some(visitor) = self.visitor.take() else {
+            return;
+        };
+        let machines = self
+            .machines
+            .iter()
+            .map(|m| {
+                let mut jobs = Vec::with_capacity(m.jobs);
+                let mut job = m.last;
+                while job != NO_JOB {
+                    jobs.push(self.comp.job(job));
+                    job = self.below[job];
+                }
+                jobs.reverse();
+                jobs
+            })
+            .collect();
+        visitor(
+            self.comp,
+            &NodeView {
+                committed: Duration::new(committed),
+                lower: Duration::new(node_lb),
+                unassigned: &self.order[depth..],
+                machines,
+            },
+        );
+        self.visitor = Some(visitor);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{exact_minbusy_cost, MAX_EXACT_JOBS};
+    use busytime_interval::union;
+    use busytime_workload::{general_instance, proper_instance, seeded_rng};
+    use proptest::prelude::*;
+
+    fn solved(instance: &Instance) -> (Schedule, Duration, u64) {
+        match branch_and_bound(instance, &ExactBudget::default()) {
+            ExactOutcome::Optimal {
+                schedule,
+                cost,
+                nodes,
+            } => (schedule, cost, nodes),
+            ExactOutcome::Exhausted { lower, upper, .. } => {
+                panic!("default budget exhausted on a test instance ({lower} ≤ OPT ≤ {upper})")
             }
         }
     }
 
-    /// The incremental pricing bound `∫ max(busy(t), ⌈depth(t)/g⌉) dt`: open machines
-    /// stay busy wherever their job unions already cover, and all jobs (assigned or
-    /// not) still need `⌈depth/g⌉` machines pointwise.
-    fn pricing_lb(&self) -> i64 {
-        let mut events: Vec<(i64, i32, i32)> =
-            self.depth_events.iter().map(|&(x, d)| (x, d, 0)).collect();
-        for list in &self.assigned {
+    /// The pricing bound recomputed from scratch by sorting every event:
+    /// `∫ max(busy(t), ⌈depth(t)/g⌉) dt`, with `busy(t)` the number of `machines`
+    /// whose job union covers `t` and `depth(t)` over every job of `comp`.
+    fn reference_pricing(comp: &Instance, machines: &[Vec<Interval>]) -> i64 {
+        let mut events: Vec<(i64, i32, i32)> = Vec::new();
+        for iv in comp.jobs() {
+            events.push((iv.start().ticks(), 1, 0));
+            events.push((iv.end().ticks(), -1, 0));
+        }
+        for list in machines {
             for segment in union(list) {
                 events.push((segment.start().ticks(), 0, 1));
                 events.push((segment.end().ticks(), 0, -1));
             }
         }
         events.sort_unstable();
-        let g = self.capacity as i64;
+        let g = comp.capacity() as i64;
         let (mut depth, mut busy) = (0i64, 0i64);
         let mut prev = 0i64;
         let mut total = 0i64;
@@ -485,26 +802,35 @@ impl Search<'_, '_> {
         }
         total
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{exact_minbusy_cost, MAX_EXACT_JOBS};
-    use busytime_workload::{general_instance, seeded_rng};
-    use proptest::prelude::*;
-
-    fn solved(instance: &Instance) -> (Schedule, Duration, u64) {
-        match branch_and_bound(instance, &ExactBudget::default()) {
-            ExactOutcome::Optimal {
-                schedule,
-                cost,
-                nodes,
-            } => (schedule, cost, nodes),
-            ExactOutcome::Exhausted { lower, upper, .. } => {
-                panic!("default budget exhausted on a test instance ({lower} ≤ OPT ≤ {upper})")
-            }
+    /// Visit every node of a default-budget search, asserting the ledger's bound
+    /// against [`reference_pricing`] and the committed cost against the machines'
+    /// spans; returns how many nodes were checked.
+    fn check_ledger_at_every_node(inst: &Instance) -> u64 {
+        let mut checked = 0u64;
+        let mut visitor = |comp: &Instance, view: &NodeView<'_>| {
+            assert_eq!(
+                view.lower.ticks(),
+                reference_pricing(comp, &view.machines),
+                "ledger bound vs sorted reference"
+            );
+            let spans: i64 = view
+                .machines
+                .iter()
+                .map(|list| union(list).iter().map(|s| s.len().ticks()).sum::<i64>())
+                .sum();
+            assert_eq!(view.committed.ticks(), spans, "committed vs machine spans");
+            let placed: usize = view.machines.iter().map(Vec::len).sum();
+            assert_eq!(placed + view.unassigned.len(), comp.len());
+            checked += 1;
+        };
+        let outcome =
+            branch_and_bound_with_visitor(inst, &ExactBudget::default(), Some(&mut visitor));
+        match outcome {
+            ExactOutcome::Optimal { nodes, .. } => assert_eq!(checked, nodes),
+            ExactOutcome::Exhausted { .. } => panic!("default budget exhausted"),
         }
+        checked
     }
 
     #[test]
@@ -559,6 +885,67 @@ mod tests {
         assert!(cost >= inst.lower_bound());
     }
 
+    #[test]
+    fn wall_clock_cap_bounds_polishing() {
+        // One ~3,000-job component: polishing its warm start to a fixpoint takes
+        // seconds, so only a deadline inside `polish` keeps a 20 ms cap.
+        let inst = proper_instance(&mut seeded_rng(5), 3000, 4, 40, 8);
+        assert_eq!(inst.connected_components().len(), 1);
+        let budget = ExactBudget {
+            max_millis: Some(20),
+            ..ExactBudget::default()
+        };
+        let clock = Instant::now();
+        let outcome = branch_and_bound(&inst, &budget);
+        let elapsed = clock.elapsed();
+        assert!(elapsed.as_secs_f64() < 1.0, "a 20 ms cap took {elapsed:?}");
+        let ExactOutcome::Exhausted {
+            incumbent,
+            lower,
+            upper,
+            ..
+        } = outcome
+        else {
+            panic!("a 20 ms cap proved a 3,000-job optimum");
+        };
+        // The search was abandoned at its root, so the bracket falls back to the
+        // clique relaxation — sound for every schedule.
+        assert_eq!(lower.ticks(), Ledger::new(&inst).0.total);
+        assert!(lower <= upper);
+        incumbent.validate_complete(&inst).unwrap();
+        assert_eq!(incumbent.cost(&inst), upper);
+    }
+
+    #[test]
+    fn ledger_matches_reference_through_a_deep_search() {
+        // Many random instances close on the warm start and visit no node at all;
+        // this one (the scaling grid's proper-dense n = 20 row) closes only after
+        // thousands of nodes, so every one of them is cross-checked.
+        let inst = proper_instance(&mut seeded_rng(2012), 20, 4, 40, 8);
+        assert!(check_ledger_at_every_node(&inst) > 1_000);
+    }
+
+    #[test]
+    fn ledger_starts_at_the_clique_relaxation() {
+        let inst = Instance::from_ticks(&[(0, 10), (2, 8), (4, 6), (20, 25)], 2);
+        let (mut ledger, span) = Ledger::new(&inst);
+        assert_eq!(ledger.coords, vec![0, 2, 4, 6, 8, 10, 20, 25]);
+        assert_eq!(span, vec![(0, 5), (1, 4), (2, 3), (6, 7)]);
+        // ⌈depth/2⌉ per segment: [0,2)·1 [2,4)·1 [4,6)·2 [6,8)·1 [8,10)·1
+        // [10,20)·0 [20,25)·1.
+        assert_eq!(ledger.total, 2 + 2 + 2 * 2 + 2 + 2 + 5);
+        assert_eq!(ledger.total, reference_pricing(&inst, &[]));
+        // One machine over [0,10) changes nothing; a second over [2,8) adds the
+        // segments where it is the second machine but only one is needed.
+        ledger.cover(0, 5);
+        assert_eq!(ledger.total, 17);
+        ledger.cover(1, 4);
+        assert_eq!(ledger.total, 17 + 2 + 2);
+        ledger.uncover(1, 4);
+        ledger.uncover(0, 5);
+        assert_eq!(ledger.total, 17);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -601,6 +988,29 @@ mod tests {
             } else {
                 prop_assert!(false, "default budget exhausted on a tiny instance");
             }
+        }
+
+        /// The ledger's O(1) bound equals the sorted from-scratch pricing formula at
+        /// every visited node, and committed cost equals the machines' spans — on
+        /// random general instances.
+        #[test]
+        fn ledger_matches_reference_on_general_instances(seed in 0u64..5_000, n in 2usize..16, g in 1usize..5) {
+            let inst = general_instance(&mut seeded_rng(seed), n, g, 120, 30);
+            check_ledger_at_every_node(&inst);
+        }
+
+        /// …and on overlap-heavy instances with verbatim duplicates, where the
+        /// identical-machine rule skips children.
+        #[test]
+        fn ledger_matches_reference_on_overlap_heavy_duplicates(
+            jobs in prop::collection::vec((-6i64..6, 1i64..15), 1..9),
+            copies in 1usize..5,
+            g in 1usize..5,
+        ) {
+            let mut jobs: Vec<(i64, i64)> = jobs.into_iter().map(|(s, l)| (s, s + l)).collect();
+            let dup: Vec<(i64, i64)> = jobs.iter().copied().cycle().take(copies).collect();
+            jobs.extend(dup);
+            check_ledger_at_every_node(&Instance::from_ticks(&jobs, g));
         }
 
         /// Starving the budget still yields a sound bracket: `lower ≤ OPT ≤ upper`,

@@ -9,6 +9,12 @@
 //! instances biased toward the shapes the families rarely produce — improper
 //! containment chains, overlap-heavy cliques, and exact duplicate jobs (the stress
 //! case for the search's identical-machine dominance rule).
+//!
+//! A second table pins the *budgeted* search: the exact `(lower, upper, nodes)` of
+//! seeded instances shaped like the `exact_bound` benchmark set and of deeper rows
+//! from the scaling bench's exact grid.  A change that reshapes the search tree —
+//! branch order, child order, dominance, bounds, incumbents — fails here instead of
+//! silently moving a recorded bracket or `cost_ratio`.
 
 use busytime::{ExactBudget, ExactOutcome, Instance};
 use busytime_exact::{bnb, exact_minbusy};
@@ -106,6 +112,93 @@ fn bnb_matches_dp_on_degenerate_instances() {
         &Instance::from_ticks(&[(0, 20), (1, 19), (2, 18), (3, 17), (4, 16), (5, 15)], 2),
         "containment chain",
     );
+}
+
+/// One pinned search: the instance's family and seed, its node budget, and the
+/// `(lower, upper, nodes)` the search must report.
+struct Pinned {
+    family: &'static str,
+    jobs: usize,
+    seed: u64,
+    max_nodes: u64,
+    lower: i64,
+    upper: i64,
+    nodes: u64,
+}
+
+/// Capacity-4 instances of the benchmark's families (proper-dense: lengths ≤ 40,
+/// gaps ≤ 8; general: horizon 300, lengths ≤ 30; cloud: the scaling grid's trace).
+fn pinned_instance(family: &str, jobs: usize, seed: u64) -> Instance {
+    let rng = &mut seeded_rng(seed);
+    match family {
+        "proper-dense" => proper_instance(rng, jobs, 4, 40, 8),
+        "general" => general_instance(rng, jobs, 4, 300, 30),
+        "cloud" => cloud_trace(rng, jobs, 4, 5, 1, 100),
+        other => unreachable!("no pinned family {other}"),
+    }
+}
+
+#[rustfmt::skip]
+const PINNED: &[Pinned] = &[
+    // The benchmark's brackets: proper-dense n = 30 and 36 at its 300-node budget.
+    Pinned { family: "proper-dense", jobs: 30, seed: 0, max_nodes: 300, lower: 1310, upper: 1328, nodes: 300 },
+    Pinned { family: "proper-dense", jobs: 30, seed: 1, max_nodes: 300, lower: 1320, upper: 1354, nodes: 300 },
+    Pinned { family: "proper-dense", jobs: 30, seed: 2, max_nodes: 300, lower: 2698, upper: 2795, nodes: 300 },
+    Pinned { family: "proper-dense", jobs: 30, seed: 3, max_nodes: 300, lower: 2593, upper: 2630, nodes: 300 },
+    Pinned { family: "proper-dense", jobs: 30, seed: 4, max_nodes: 300, lower: 1745, upper: 1815, nodes: 300 },
+    Pinned { family: "proper-dense", jobs: 30, seed: 5, max_nodes: 300, lower: 2434, upper: 2476, nodes: 300 },
+    Pinned { family: "proper-dense", jobs: 36, seed: 0, max_nodes: 300, lower: 1976, upper: 2078, nodes: 300 },
+    Pinned { family: "proper-dense", jobs: 36, seed: 1, max_nodes: 300, lower: 1911, upper: 2013, nodes: 300 },
+    Pinned { family: "proper-dense", jobs: 36, seed: 2, max_nodes: 300, lower: 3777, upper: 3855, nodes: 300 },
+    Pinned { family: "proper-dense", jobs: 36, seed: 3, max_nodes: 300, lower: 3547, upper: 3606, nodes: 300 },
+    // The benchmark's closers: general n = 20, one closed by the warm start alone
+    // and four that need a search.
+    Pinned { family: "general", jobs: 20, seed: 0, max_nodes: 300, lower: 230, upper: 230, nodes: 0 },
+    Pinned { family: "general", jobs: 20, seed: 7, max_nodes: 300, lower: 239, upper: 239, nodes: 14 },
+    Pinned { family: "general", jobs: 20, seed: 9, max_nodes: 300, lower: 187, upper: 187, nodes: 13 },
+    Pinned { family: "general", jobs: 20, seed: 70, max_nodes: 300, lower: 185, upper: 185, nodes: 32 },
+    Pinned { family: "general", jobs: 20, seed: 165, max_nodes: 300, lower: 207, upper: 207, nodes: 28 },
+    // Deeper rows of the scaling bench's exact grid (seed 2012) at 500k nodes.
+    Pinned { family: "general", jobs: 60, seed: 2012, max_nodes: 500_000, lower: 411, upper: 411, nodes: 20_349 },
+    Pinned { family: "proper-dense", jobs: 30, seed: 2012, max_nodes: 500_000, lower: 2261, upper: 2328, nodes: 500_000 },
+    Pinned { family: "cloud", jobs: 40, seed: 2012, max_nodes: 500_000, lower: 339, upper: 339, nodes: 241_245 },
+];
+
+#[test]
+fn budgeted_search_reproduces_the_pinned_brackets() {
+    for pin in PINNED {
+        let context = format!(
+            "{} n={} seed={} at {} nodes",
+            pin.family, pin.jobs, pin.seed, pin.max_nodes
+        );
+        let instance = pinned_instance(pin.family, pin.jobs, pin.seed);
+        let budget = ExactBudget {
+            max_nodes: pin.max_nodes,
+            max_millis: None,
+        };
+        let (schedule, lower, upper, nodes) = match bnb::branch_and_bound(&instance, &budget) {
+            ExactOutcome::Optimal {
+                schedule,
+                cost,
+                nodes,
+            } => (schedule, cost, cost, nodes),
+            ExactOutcome::Exhausted {
+                incumbent,
+                lower,
+                upper,
+                nodes,
+            } => (incumbent, lower, upper, nodes),
+        };
+        assert_eq!(
+            (lower.ticks(), upper.ticks(), nodes),
+            (pin.lower, pin.upper, pin.nodes),
+            "{context}: (lower, upper, nodes)"
+        );
+        schedule
+            .validate_complete(&instance)
+            .unwrap_or_else(|e| panic!("{context}: incumbent invalid: {e}"));
+        assert_eq!(schedule.cost(&instance), upper, "{context}: incumbent cost");
+    }
 }
 
 proptest! {
