@@ -7,8 +7,8 @@
 //! cargo run -p busytime-bench --bin experiments --release [-- --seed N --trials K --json PATH]
 //! ```
 //!
-//! The defaults (`--seed 2012 --trials 20`) reproduce the numbers recorded in
-//! `EXPERIMENTS.md`.
+//! The defaults are `--seed 2012 --trials 20`; `--json PATH` records every table for
+//! later comparison.
 
 use std::io::Write;
 

@@ -20,7 +20,7 @@
 //!
 //! The output is self-describing: a `meta` object records the thread count, available
 //! parallelism, git revision and build profile next to the rows, a `batch` section
-//! measures `Solver::solve_batch` over the work-stealing pool at several widths, and a
+//! measures `Solver::solve_batch`'s path over the thread pool at several widths, and a
 //! `server` section drives a multi-tenant request stream through the sharded
 //! `busytime-server` registry at several shard counts (requests/s at 1 vs N shards).
 //! A `durability` section re-drives a stream with the write-ahead log on at several
@@ -58,6 +58,7 @@ use busytime::minbusy::{
     first_fit, first_fit_in_order, first_fit_in_order_adaptive, first_fit_in_order_scan,
 };
 use busytime::online::{OnlinePolicy, OnlineScheduler, Trace};
+use busytime::par::ThreadPool;
 use busytime::{
     Duration, ExactBudget, ExactOutcome, Instance, Interval, Problem, Schedule, Solver,
 };
@@ -775,7 +776,8 @@ fn main() {
         }
     }
 
-    // `solve_batch` over the work-stealing pool: one mixed batch, several widths.
+    // `solve_batch`'s path (`Solver::solve` mapped over the pool): one mixed batch,
+    // several widths.
     // Thread counts beyond the container's available parallelism are still measured —
     // the meta block records both so the numbers stay interpretable.
     let batch_instances = if quick { 200 } else { 1_000 };
@@ -792,8 +794,8 @@ fn main() {
     let mut batch = Vec::new();
     let mut one_thread_secs = 0.0f64;
     for threads in [1usize, 2, 4, 8] {
-        busytime::par::set_default_threads(threads);
-        let secs = time_trials(trials, || solver.solve_batch(&problems));
+        let pool = ThreadPool::new(threads);
+        let secs = time_trials(trials, || pool.map(&problems, |p| solver.solve(p)));
         if threads == 1 {
             one_thread_secs = secs;
         }
@@ -805,8 +807,6 @@ fn main() {
             speedup_vs_1_thread: one_thread_secs / secs,
         });
     }
-    busytime::par::set_default_threads(0);
-
     // The multi-tenant server: one interleaved request stream over T tenants, one
     // concurrent client thread per tenant, driven through the in-process `Engine`
     // (the same path the TCP connection threads use, minus the socket) at several

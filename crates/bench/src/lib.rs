@@ -3,13 +3,12 @@
 //! The experiment harness of the `busytime` workspace.  The paper *"Optimizing Busy Time
 //! on Parallel Machines"* has no empirical evaluation section — its results are theorems —
 //! so the harness validates every theorem-level claim empirically and reproduces the one
-//! concrete construction in the paper (Figure 3).  See `DESIGN.md` (per-experiment index)
-//! and `EXPERIMENTS.md` (recorded results) at the workspace root.
+//! concrete construction in the paper (Figure 3).
 //!
 //! * `cargo run -p busytime-bench --bin experiments --release` prints every experiment
-//!   table and an overall pass/fail summary (optionally writing JSON).
-//! * `cargo bench -p busytime-bench` runs the Criterion benchmarks measuring the running
-//!   time shape of every algorithm (S1 in DESIGN.md).
+//!   table and an overall pass/fail summary; `--json PATH` records the results.
+//! * `cargo run -p busytime-bench --bin scaling --release` measures the running time of
+//!   the hot paths against their baselines and writes `BENCH_scaling.json`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

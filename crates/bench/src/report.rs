@@ -1,5 +1,5 @@
-//! Experiment reports: the rows printed by the `experiments` binary and recorded in
-//! `EXPERIMENTS.md`.
+//! Experiment reports: the rows printed by the `experiments` binary and recorded by
+//! `experiments --json`.
 
 use serde::{Deserialize, Serialize};
 
@@ -38,8 +38,8 @@ impl Row {
     }
 }
 
-/// A full experiment: id (matching DESIGN.md / EXPERIMENTS.md), title, the claim being
-/// validated, and the measured rows.
+/// A full experiment: id (such as `E5`), title, the claim being validated, and the
+/// measured rows.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentReport {
     /// Experiment id, e.g. `"E3"` or `"F3"`.

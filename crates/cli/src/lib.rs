@@ -11,9 +11,10 @@
 //! provably optimal algorithms — with the `busytime-exact` oracle installed, instances
 //! outside every polynomial exact class route to the subset DP (≤ 22 jobs) or
 //! branch-and-bound instead of failing.  `bound` proves a `lower ≤ OPT ≤ upper`
-//! bracket under a configurable search budget and prints the relative gap.  `batch` solves a whole file of instances through
-//! [`busytime::Solver::solve_batch`] on the work-stealing thread pool; `--threads N`
-//! pins the pool size (the default is one worker per core).  `simulate` replays an
+//! bracket under a configurable search budget and prints the relative gap.  `batch`
+//! solves a whole file of instances through [`busytime::Solver::solve`] on the thread
+//! pool; `--threads N` sets the pool size (the default is
+//! [`busytime::Solver::solve_batch`]'s: one worker per core).  `simulate` replays an
 //! online event trace through [`busytime::Solver::solve_online`] and reports the
 //! per-event cost trajectory plus the final live schedule.
 //!
@@ -306,8 +307,9 @@ impl BatchFile {
     }
 }
 
-/// `busytime batch`: solve every instance of a batch file concurrently through
-/// [`Solver::solve_batch`] on the work-stealing pool.
+/// `busytime batch`: solve every instance of a batch file concurrently, mapping
+/// [`Solver::solve`] over a thread pool of its own (as [`Solver::solve_batch`] does
+/// over the default-width pool).
 ///
 /// With a budget every instance becomes a MaxThroughput request under that budget;
 /// without one every instance is a MinBusy request.  `threads` pins the pool width

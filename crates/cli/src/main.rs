@@ -30,7 +30,7 @@
 //! general instances to the exact backends instead of failing.  `bound` proves a
 //! `lower ≤ OPT ≤ upper` bracket through the same backends — `--max-nodes` caps the
 //! branch-and-bound search (default 2,000,000) and `--max-millis` adds an optional
-//! wall-clock cutoff; an exhausted budget still reports a sound bracket and gap; `--threads` pins the work-stealing pool driving `batch` (default: one
+//! wall-clock cutoff; an exhausted budget still reports a sound bracket and gap; `--threads` sets the width of the thread pool driving `batch` (default: one
 //! worker per core); `--policy` selects the online placement rule driving `simulate`
 //! (default: `first-fit`).  For `client`, `--binary` switches the connection to the
 //! compact binary framing and `--pipeline N` keeps N requests in flight (default 1,

@@ -65,7 +65,7 @@
 //! | [`bounds`] | the parallelism / span / length bounds of Observation 2.1 |
 //! | [`analysis`] | schedule summaries and ratio reporting |
 //! | [`report`] | the shared JSON result schemas ([`ScheduleReport`], [`SimulationReport`]) the CLI and server emit |
-//! | [`par`] | the work-stealing [`par::ThreadPool`] batch engine and batch helpers |
+//! | [`par`] | the [`par::ThreadPool`] batch engine: scoped workers on an atomic cursor |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

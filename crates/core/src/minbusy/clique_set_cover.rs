@@ -83,9 +83,9 @@ pub fn clique_set_cover_with_limit(instance: &Instance, limit: usize) -> Result<
     // The greedy must build a *partition* (disjoint picks): the shifted weight
     // span(Q) − len(Q)/g is not monotone under dropping elements, so converting an
     // overlapping cover into a schedule could exceed the weight the H_g analysis charges
-    // (and measurably violates the Lemma 3.2 bound — see the E2 experiment notes in
-    // EXPERIMENTS.md).  The all-subsets family is closed under subsets, so a partition
-    // always exists.
+    // (and measurably violates the Lemma 3.2 bound — experiment E2 of
+    // `experiments --json` checks it).  The all-subsets family is closed under subsets,
+    // so a partition always exists.
     let cover = greedy_set_partition(n, &sets).expect("singletons make the universe coverable");
 
     let mut schedule = Schedule::empty(n);

@@ -6,7 +6,7 @@
 //! it does not overlap.  The paper's Section 3.4 2-D FirstFit is the same algorithm with
 //! rectangles and a per-dimension sort key; it lives in [`crate::twodim`].
 
-use busytime_interval::{Duration, Interval};
+use busytime_interval::Interval;
 
 use crate::instance::Instance;
 use crate::machine::ScheduleBuilder;
@@ -110,17 +110,11 @@ fn scan_impl(instance: &Instance, order: impl Iterator<Item = usize>) -> Schedul
     schedule
 }
 
-/// Total idle time of a schedule: busy time not covered by any job of the machine's
-/// *first* thread — a diagnostic used when comparing FirstFit with the structured
-/// algorithms in the experiment harness.
-pub fn total_busy(instance: &Instance, schedule: &Schedule) -> Duration {
-    schedule.cost(instance)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds::{length_bound, lower_bound};
+    use busytime_interval::Duration;
 
     #[test]
     fn fills_threads_before_opening_machines() {
@@ -186,7 +180,7 @@ mod tests {
         let inst = Instance::from_ticks(&[], 2);
         let s = first_fit(&inst);
         assert_eq!(s.machines_used(), 0);
-        assert_eq!(total_busy(&inst, &s), Duration::ZERO);
+        assert_eq!(s.cost(&inst), Duration::ZERO);
     }
 
     #[test]

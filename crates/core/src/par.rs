@@ -1,16 +1,11 @@
-//! The batch engine: an in-repo work-stealing thread pool and the data-parallel batch
-//! helpers built on it.
+//! The batch engine: a scoped thread pool over index ranges.
 //!
 //! Batch workloads — [`Solver::solve_batch`](crate::Solver::solve_batch), the
-//! experiment harness sweeping hundreds of random instances per parameter point, the
-//! scaling benchmarks — fan independent problems out over threads.  The engine here is
-//! a [`ThreadPool`]: items are split into cache-friendly contiguous chunks, each worker
-//! starts with its own run of chunks, and a worker that drains its own queue **steals**
-//! chunks from the busiest end of its siblings' queues, so uneven per-item cost (one
-//! hard instance among many easy ones) cannot idle a core.  Everything is built on
-//! `std::thread::scope` — no external dependencies, no unsafe code — and results are
-//! always returned in input order, so a parallel map is observably identical to a
-//! sequential one.
+//! experiment harness's trial sweeps, the scaling benchmarks — fan independent problems
+//! out over threads.  Workers claim the next index from one shared atomic cursor, so
+//! one hard item among many easy ones cannot idle a core, and results come back in
+//! input order, so a parallel map is observably identical to a sequential one.  It is
+//! all `std::thread::scope`: no dependencies, no unsafe code.
 //!
 //! ```
 //! use busytime::par::ThreadPool;
@@ -25,62 +20,27 @@
 //! assert_eq!(lens, vec![4, 4]);
 //! ```
 //!
-//! The pool size defaults to every available core; [`set_default_threads`] (or the
-//! `BUSYTIME_THREADS` environment variable, or the CLI's `--threads`) pins it
-//! process-wide for every caller that uses [`ThreadPool::with_default_parallelism`].
-//!
-//! The free functions below ([`solve_minbusy_batch`], [`solve_maxthroughput_batch`],
-//! [`map_instances`]) are the batch entry points the harness uses; they parallelize
-//! sweeps without changing any algorithmic result (each instance is solved
-//! independently, results come back in input order).
+//! [`ThreadPool::with_default_parallelism`] runs one worker per core, or
+//! `BUSYTIME_THREADS` when that is set; the CLI's `batch --threads` uses
+//! [`ThreadPool::new`].
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use busytime_interval::Duration;
-
-use crate::instance::Instance;
-use crate::maxthroughput::MaxThroughputAlgorithm;
-use crate::minbusy::MinBusyAlgorithm;
-use crate::schedule::{Schedule, ThroughputResult};
-use crate::solver::{Problem, Solver};
-
-/// Process-wide thread-count override; 0 means "not set".
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Pin the default pool size for every later
-/// [`ThreadPool::with_default_parallelism`] (the CLI's `--threads` lands here).
-/// A value of 0 clears the override.
-pub fn set_default_threads(threads: usize) {
-    DEFAULT_THREADS.store(threads, Ordering::Relaxed);
-}
 
 /// The pool size [`ThreadPool::with_default_parallelism`] will use: the
-/// [`set_default_threads`] override if set, else the `BUSYTIME_THREADS` environment
-/// variable, else one thread per available core.
+/// `BUSYTIME_THREADS` environment variable if set, else one thread per available core.
 pub fn default_threads() -> usize {
-    let pinned = DEFAULT_THREADS.load(Ordering::Relaxed);
-    if pinned > 0 {
-        return pinned;
-    }
-    if let Some(n) = std::env::var("BUSYTIME_THREADS")
+    std::env::var("BUSYTIME_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
 }
 
-/// Target number of chunks handed to each worker: enough slack for stealing to
-/// rebalance uneven items without making the per-chunk overhead visible.
-const CHUNKS_PER_WORKER: usize = 8;
-
-/// A scoped work-stealing thread pool over index ranges.
+/// A scoped thread pool over index ranges.
 ///
 /// The pool is a *policy*, not a set of live threads: each [`ThreadPool::map`] /
 /// [`ThreadPool::map_range`] call spawns scoped workers, runs the batch to completion
@@ -91,12 +51,6 @@ pub struct ThreadPool {
     threads: usize,
 }
 
-impl Default for ThreadPool {
-    fn default() -> Self {
-        ThreadPool::with_default_parallelism()
-    }
-}
-
 impl ThreadPool {
     /// A pool with exactly `threads` workers (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
@@ -105,8 +59,8 @@ impl ThreadPool {
         }
     }
 
-    /// A pool sized by [`default_threads`]: the process-wide override when set, else
-    /// one worker per available core.
+    /// A pool sized by [`default_threads`]: `BUSYTIME_THREADS` when set, else one
+    /// worker per available core.
     pub fn with_default_parallelism() -> Self {
         ThreadPool::new(default_threads())
     }
@@ -127,8 +81,8 @@ impl ThreadPool {
     }
 
     /// Apply `f` to every index in `0..n`, in parallel, returning results in index
-    /// order — the primitive the harness sweeps (`trials` repetitions of a
-    /// configuration) run on.
+    /// order.  Each worker hands its `(index, result)` pairs back through its join
+    /// handle; a worker's panic is re-raised on the caller's thread.
     pub fn map_range<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -138,141 +92,35 @@ impl ThreadPool {
         if workers <= 1 {
             return (0..n).map(f).collect();
         }
-
-        // Contiguous chunks, dealt to workers as consecutive runs so each worker's
-        // own queue walks memory forward; stealing takes from the *far* end of a
-        // victim's queue to keep the victim's locality intact.
-        let chunk_len = n.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-        let chunks: Vec<(usize, usize)> = (0..n)
-            .step_by(chunk_len)
-            .map(|start| (start, (start + chunk_len).min(n)))
-            .collect();
-        let per_worker = chunks.len().div_ceil(workers);
-        let queues: Vec<Mutex<VecDeque<(usize, usize)>>> = (0..workers)
-            .map(|w| {
-                let lo = (w * per_worker).min(chunks.len());
-                let hi = ((w + 1) * per_worker).min(chunks.len());
-                Mutex::new(chunks[lo..hi].iter().copied().collect::<VecDeque<_>>())
-            })
-            .collect();
-        let parts: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(chunks.len()));
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let queues = &queues;
-                    let parts = &parts;
-                    let f = &f;
-                    scope.spawn(move || loop {
-                        // Own queue first (front: the worker's next contiguous run).
-                        // The guard must drop before stealing — holding one's own
-                        // lock while probing a sibling's would deadlock two workers
-                        // stealing from each other.
-                        let own = queues[w].lock().unwrap().pop_front();
-                        let task = own.or_else(|| {
-                            // Steal, scanning siblings from the back.
-                            (1..workers).find_map(|offset| {
-                                queues[(w + offset) % workers].lock().unwrap().pop_back()
-                            })
-                        });
-                        let Some((start, end)) = task else {
-                            break;
-                        };
-                        let out: Vec<R> = (start..end).map(f).collect();
-                        parts.lock().unwrap().push((start, out));
-                    })
+        // `Relaxed` suffices: the cursor publishes no data (results travel through
+        // `join`, which synchronizes), and `fetch_add` alone makes every claim unique.
+        let cursor = AtomicUsize::new(0);
+        let worker = || {
+            let claim = || Some(cursor.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < n);
+            std::iter::from_fn(claim)
+                .map(|i| (i, f(i)))
+                .collect::<Vec<_>>()
+        };
+        let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .flat_map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p))
                 })
-                .collect();
-            for handle in handles {
-                if let Err(panic) = handle.join() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
+                .collect()
         });
-
-        let mut parts = parts.into_inner().unwrap();
-        parts.sort_unstable_by_key(|&(start, _)| start);
-        let mut out = Vec::with_capacity(n);
-        for (_, part) in parts {
-            out.extend(part);
-        }
-        out
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, result)| result).collect()
     }
-}
-
-/// Solve MinBusy on every instance in parallel with the automatic dispatcher.
-///
-/// Returns, per instance and in input order, the schedule and the algorithm chosen.
-pub fn solve_minbusy_batch(instances: &[Instance]) -> Vec<(Schedule, MinBusyAlgorithm)> {
-    let solver = Solver::new();
-    ThreadPool::with_default_parallelism().map(instances, |instance| {
-        let solution = solver
-            .solve_min_busy(instance)
-            .expect("the default policy always solves MinBusy");
-        let algorithm = solution
-            .algorithm
-            .as_minbusy()
-            .expect("MinBusy dispatch selects MinBusy algorithms");
-        (solution.schedule, algorithm)
-    })
-}
-
-/// Solve MaxThroughput on every `(instance, budget)` pair in parallel with the automatic
-/// dispatcher.
-pub fn solve_maxthroughput_batch(
-    cases: &[(Instance, Duration)],
-) -> Vec<(ThroughputResult, MaxThroughputAlgorithm)> {
-    let solver = Solver::new();
-    let problems: Vec<Problem> = cases
-        .iter()
-        .map(|(instance, budget)| Problem::max_throughput(instance.clone(), *budget))
-        .collect();
-    solver
-        .solve_batch(&problems)
-        .into_iter()
-        .map(|result| {
-            let solution = result.expect("the default policy always solves MaxThroughput");
-            let algorithm = solution
-                .algorithm
-                .as_maxthroughput()
-                .expect("MaxThroughput dispatch selects MaxThroughput algorithms");
-            // The facade already computed the throughput and cost; reuse them rather
-            // than re-deriving both from the schedule.
-            let (throughput, cost) = match solution.objective {
-                crate::solver::Objective::Throughput { scheduled, cost } => (scheduled, cost),
-                other => {
-                    unreachable!("MaxThroughput solutions carry a throughput objective: {other:?}")
-                }
-            };
-            (
-                ThroughputResult {
-                    schedule: solution.schedule,
-                    throughput,
-                    cost,
-                },
-                algorithm,
-            )
-        })
-        .collect()
-}
-
-/// Apply an arbitrary per-instance solver in parallel, preserving order.
-///
-/// Generic glue used by the benchmark harness to sweep a parameter grid with any of the
-/// library's algorithms (or an exact reference solver).
-pub fn map_instances<T, F>(instances: &[Instance], solver: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&Instance) -> T + Sync + Send,
-{
-    ThreadPool::with_default_parallelism().map(instances, solver)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maxthroughput;
-    use crate::minbusy;
+    use crate::{maxthroughput, minbusy, Algorithm, Duration, Instance, Problem, Solver};
 
     fn instances() -> Vec<Instance> {
         vec![
@@ -293,6 +141,22 @@ mod tests {
                 assert_eq!(
                     pool.map_range(n, |i| i * 3 + 1),
                     expected,
+                    "threads = {threads}, n = {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_index_runs_exactly_once() {
+        // Output equality alone would not notice a pure closure claimed twice.
+        for threads in 1..=16 {
+            let pool = ThreadPool::new(threads);
+            for n in [0usize, 1, 7, 1_000] {
+                let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                pool.map_range(n, |i| calls[i].fetch_add(1, Ordering::Relaxed));
+                assert!(
+                    calls.iter().all(|c| c.load(Ordering::Relaxed) == 1),
                     "threads = {threads}, n = {n}"
                 );
             }
@@ -330,46 +194,29 @@ mod tests {
     }
 
     #[test]
-    fn default_threads_override_round_trips() {
-        let before = default_threads();
-        assert!(before >= 1);
-        set_default_threads(3);
-        assert_eq!(default_threads(), 3);
-        assert_eq!(ThreadPool::with_default_parallelism().threads(), 3);
-        set_default_threads(0);
-        assert!(default_threads() >= 1);
-    }
-
-    #[test]
     fn batch_minbusy_matches_sequential() {
-        let insts = instances();
-        let parallel = solve_minbusy_batch(&insts);
-        for (inst, (schedule, algo)) in insts.iter().zip(&parallel) {
-            let (seq_schedule, seq_algo) = minbusy::solve_auto(inst);
-            assert_eq!(algo, &seq_algo);
-            assert_eq!(schedule.cost(inst), seq_schedule.cost(inst));
-            schedule.validate_complete(inst).unwrap();
+        let problems: Vec<Problem> = instances().into_iter().map(Problem::min_busy).collect();
+        for (problem, result) in problems.iter().zip(Solver::new().solve_batch(&problems)) {
+            let (solution, inst) = (result.unwrap(), problem.instance());
+            let (schedule, algorithm) = minbusy::solve_auto(inst);
+            assert_eq!(solution.algorithm, Algorithm::from(algorithm));
+            assert_eq!(solution.objective.cost(), schedule.cost(inst));
+            solution.schedule.validate_complete(inst).unwrap();
         }
     }
 
     #[test]
     fn batch_maxthroughput_respects_budgets() {
-        let cases: Vec<(Instance, Duration)> = instances()
+        let budget = Duration::new(12);
+        let problems: Vec<Problem> = instances()
             .into_iter()
-            .map(|i| (i, Duration::new(12)))
+            .map(|inst| Problem::max_throughput(inst, budget))
             .collect();
-        let results = solve_maxthroughput_batch(&cases);
-        assert_eq!(results.len(), cases.len());
-        for ((inst, budget), (result, algo)) in cases.iter().zip(&results) {
-            result.schedule.validate_budgeted(inst, *budget).unwrap();
-            assert_eq!(*algo, maxthroughput::solve_auto(inst, *budget).1);
+        for (problem, result) in problems.iter().zip(Solver::new().solve_batch(&problems)) {
+            let (solution, inst) = (result.unwrap(), problem.instance());
+            solution.schedule.validate_budgeted(inst, budget).unwrap();
+            let algorithm = maxthroughput::solve_auto(inst, budget).1;
+            assert_eq!(solution.algorithm, Algorithm::from(algorithm));
         }
-    }
-
-    #[test]
-    fn map_instances_preserves_order() {
-        let insts = instances();
-        let lens = map_instances(&insts, |i| i.len());
-        assert_eq!(lens, vec![3, 3, 4, 0]);
     }
 }

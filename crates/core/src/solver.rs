@@ -18,7 +18,7 @@
 //!   it was skipped or failed (nothing is silently swallowed).
 //!
 //! Batch workloads go through [`Solver::solve_batch`], which fans the requests out over
-//! the work-stealing [`crate::par::ThreadPool`] while keeping results in request order.
+//! the [`crate::par::ThreadPool`] while keeping results in request order.
 //!
 //! ```rust
 //! use busytime::{Problem, Solver, Instance, Duration};
@@ -794,11 +794,11 @@ impl Solver {
 
     /// Solve many requests concurrently; results come back in request order.
     ///
-    /// The requests fan out over the work-stealing [`crate::par::ThreadPool`] (sized by
-    /// [`crate::par::default_threads`], i.e. every core unless pinned by
-    /// [`crate::par::set_default_threads`] or the CLI's `--threads`).  Each request is
-    /// solved independently, so the results are identical to calling
-    /// [`Solver::solve`] in a loop.
+    /// The requests fan out over a [`crate::par::ThreadPool`] sized by
+    /// [`crate::par::default_threads`]: every core unless `BUSYTIME_THREADS` pins it.
+    /// (The CLI's `batch --threads` maps [`Solver::solve`] over a pool of its own
+    /// instead.)  Each request is solved independently, so the results are identical
+    /// to calling [`Solver::solve`] in a loop.
     pub fn solve_batch(&self, problems: &[Problem]) -> Vec<Result<Solution, SolveError>> {
         crate::par::ThreadPool::with_default_parallelism().map(problems, |p| self.solve(p))
     }

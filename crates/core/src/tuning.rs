@@ -1,12 +1,12 @@
 //! Calibrated cutover thresholds for the adaptive dispatch tier.
 //!
-//! `BENCH_scaling.json` (PR 2) showed the kernel-backed FirstFit *losing* to the naive
+//! `BENCH_scaling.json` showed the kernel-backed FirstFit *losing* to the naive
 //! per-thread scan at small instance sizes — 0.30–0.79× at `n = 1000` — because the
 //! incremental profiles and the placement index only amortize once enough machines and
 //! long enough thread histories exist.  Rather than making every caller pick a path,
-//! the placement entry points ([`crate::minbusy::first_fit_in_order_adaptive`], the 2-D
-//! [`crate::twodim::first_fit_2d_in_order`]) consult this module and cut over between
-//! the plain scan and the kernel automatically.
+//! the 1-D placement entry point ([`crate::minbusy::first_fit_in_order_adaptive`])
+//! consults this module and cuts over between the plain scan and the kernel
+//! automatically.
 //!
 //! The decision uses two `O(1)` facts off the SoA columns:
 //!
@@ -37,11 +37,6 @@ pub const FIRST_FIT_KERNEL_MIN_JOBS_DENSE: usize = 2_000;
 
 /// Hull density (average coverage depth) at which an instance counts as *dense*.
 pub const DENSE_HULL_DENSITY: f64 = 2.5;
-
-/// 2-D FirstFit keeps the plain per-thread rectangle scan below this many rectangles;
-/// the dimension-1 [`busytime_interval::SweepSet`] pruning only pays once machines
-/// accumulate enough rectangles for the profile probe to beat a short linear walk.
-pub const FIRST_FIT_2D_KERNEL_MIN_JOBS: usize = 512;
 
 /// Should 1-D FirstFit placement run through the sweep kernel and placement index
 /// (`true`) or the plain per-thread scan (`false`) for this instance?

@@ -5,7 +5,7 @@
 //! Lemma 3.5 shows the approximation ratio is between `6γ₁ + 3` and `6γ₁ + 4`, where
 //! `γ₁` is the ratio of the longest to the shortest projection in dimension 1.
 
-use busytime_interval::{Rect, SweepSet};
+use busytime_interval::Rect;
 
 use crate::twodim::instance2d::{Instance2d, Schedule2d};
 
@@ -24,76 +24,11 @@ pub fn first_fit_2d(instance: &Instance2d) -> Schedule2d {
 /// FirstFit on rectangular jobs in an explicit order (used by [`super::bucket_first_fit`]
 /// so that each bucket keeps the global `len₂` ordering).
 ///
-/// Each machine carries a dimension-1 [`SweepSet`] coverage profile next to its thread
-/// lists: a rectangle whose dimension-1 window is uncovered on a machine cannot
-/// conflict with anything there, so the common far-from-the-load case is answered by
-/// one kernel probe and the per-thread rectangle scans only run on machines whose
-/// dimension-1 profile actually intersects the candidate.
-///
-/// Below [`crate::tuning::FIRST_FIT_2D_KERNEL_MIN_JOBS`] rectangles the plain scan is
-/// used instead — the profile bookkeeping only pays off once machines hold enough
-/// rectangles; both paths implement the identical placement rule.
+/// Each rectangle goes to the first thread, of the first machine, whose rectangles it
+/// does not overlap; a rectangle that fits nowhere opens a new machine.
 pub fn first_fit_2d_in_order(instance: &Instance2d, order: &[usize]) -> Schedule2d {
-    if instance.len() < crate::tuning::FIRST_FIT_2D_KERNEL_MIN_JOBS {
-        return first_fit_2d_in_order_scan(instance, order);
-    }
-    first_fit_2d_in_order_kernel(instance, order)
-}
-
-/// The kernel-backed 2-D FirstFit (the dimension-1 profile pruning path), regardless
-/// of instance size — the "after" side of the 2-D scaling comparison.
-pub fn first_fit_2d_in_order_kernel(instance: &Instance2d, order: &[usize]) -> Schedule2d {
     let g = instance.capacity();
-    // threads[m][t]: rectangles currently on thread t of machine m; dim1[m]: the
-    // machine-wide coverage of their dimension-1 projections.
-    let mut threads: Vec<Vec<Vec<Rect>>> = Vec::new();
-    let mut dim1: Vec<SweepSet> = Vec::new();
-    let mut schedule = Schedule2d::empty(instance.len());
-    for &j in order {
-        let rect = instance.job(j);
-        let window = rect.dim1();
-        let mut placed = false;
-        'machines: for (m, machine) in threads.iter_mut().enumerate() {
-            if !dim1[m].overlaps(window) {
-                // Nothing on this machine shares the rectangle's dimension-1 window:
-                // thread 0 is conflict-free, exactly what the scan would find.
-                machine[0].push(rect);
-                dim1[m].insert(window);
-                schedule.assign(j, m);
-                placed = true;
-                break 'machines;
-            }
-            for thread in machine.iter_mut() {
-                if thread.iter().all(|other| !rect.overlaps(other)) {
-                    thread.push(rect);
-                    dim1[m].insert(window);
-                    schedule.assign(j, m);
-                    placed = true;
-                    break 'machines;
-                }
-            }
-        }
-        if !placed {
-            let mut machine: Vec<Vec<Rect>> = vec![Vec::new(); g];
-            machine[0].push(rect);
-            threads.push(machine);
-            let mut coverage = SweepSet::new();
-            coverage.insert(window);
-            dim1.push(coverage);
-            schedule.assign(j, threads.len() - 1);
-        }
-    }
-    schedule
-}
-
-/// The pre-kernel 2-D FirstFit: identical placement rule and results, but every
-/// conflict test scans the candidate thread's whole rectangle list with no dimension-1
-/// pruning.
-///
-/// Kept as the equivalence baseline for the fast path (property tests pin
-/// [`first_fit_2d_in_order`] `==` this function).  Do not use it for real workloads.
-pub fn first_fit_2d_in_order_scan(instance: &Instance2d, order: &[usize]) -> Schedule2d {
-    let g = instance.capacity();
+    // threads[m][t]: the rectangles on thread t of machine m.
     let mut threads: Vec<Vec<Vec<Rect>>> = Vec::new();
     let mut schedule = Schedule2d::empty(instance.len());
     for &j in order {

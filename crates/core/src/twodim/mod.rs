@@ -18,8 +18,5 @@ mod first_fit;
 mod instance2d;
 
 pub use bucket::{bucket_first_fit, bucket_first_fit_guarantee, DEFAULT_BUCKET_BASE};
-pub use first_fit::{
-    first_fit_2d, first_fit_2d_guarantee, first_fit_2d_in_order, first_fit_2d_in_order_kernel,
-    first_fit_2d_in_order_scan,
-};
+pub use first_fit::{first_fit_2d, first_fit_2d_guarantee, first_fit_2d_in_order};
 pub use instance2d::{Instance2d, Schedule2d, SolveResult2d};

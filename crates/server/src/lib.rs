@@ -27,7 +27,7 @@
 //!   locks on the hot path); requests travel over bounded channels, so a busy shard
 //!   applies backpressure rather than buffering without limit.  Batch solves bypass
 //!   the shards entirely and fan out through [`busytime::Solver::solve_batch`] on the
-//!   work-stealing pool.
+//!   thread pool.
 //! * [`server`] — the std-only TCP front end ([`std::net::TcpListener`], one thread
 //!   per connection) plus the matching blocking [`Client`], including the
 //!   [`Client::drive_trace`] helper the CLI `client` subcommand and the CI smoke use.

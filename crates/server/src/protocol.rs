@@ -9,10 +9,11 @@
 //! example from that document through the types here, so the document cannot drift from
 //! the implementation.
 //!
-//! The serde impls are written by hand against the vendored `serde::Value` tree (the
-//! derive stub does not cover enums), which also buys the protocol two properties the
-//! derive would not give: *missing* optional keys are accepted (not just `null`), and
-//! unknown `"op"` names produce a descriptive error naming the valid operations.
+//! Plain named-field structs use the serde derive.  The enums' serde impls are written
+//! by hand against the vendored `serde::Value` tree (the derive stub does not cover
+//! enums), which also buys the protocol two properties the derive would not give:
+//! *missing* optional keys are accepted (not just `null`), and unknown `"op"` names
+//! produce a descriptive error naming the valid operations.
 
 use busytime::online::{Event, OnlineSnapshot};
 use busytime::report::{ScheduleReport, SimulationReport};
@@ -159,7 +160,7 @@ impl std::fmt::Display for WireError {
 }
 
 /// Per-shard figures inside a [`Response::Health`] report.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ShardHealth {
     /// The shard's index.
     pub shard: usize,
@@ -178,7 +179,7 @@ pub struct ShardHealth {
 
 /// Per-tenant degradation figures inside a [`Response::Health`] report.  Only
 /// tenants that have been shed at least once appear.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TenantHealth {
     /// The tenant's name.
     pub tenant: String,
@@ -189,76 +190,12 @@ pub struct TenantHealth {
 }
 
 /// A `health` result: per-shard load figures plus tenants degraded by shedding.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct HealthReport {
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardHealth>,
     /// Tenants that have had requests shed, sorted by name.
     pub degraded: Vec<TenantHealth>,
-}
-
-impl Serialize for ShardHealth {
-    fn serialize(&self) -> Value {
-        obj(vec![
-            ("shard", self.shard.serialize()),
-            ("queue_depth", self.queue_depth.serialize()),
-            ("shed", self.shed.serialize()),
-            ("respawns", self.respawns.serialize()),
-            ("tenants", self.tenants.serialize()),
-            ("wal_backlog", self.wal_backlog.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for ShardHealth {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(ShardHealth {
-            shard: usize::deserialize(value.field("shard")?)?,
-            queue_depth: usize::deserialize(value.field("queue_depth")?)?,
-            shed: u64::deserialize(value.field("shed")?)?,
-            respawns: u64::deserialize(value.field("respawns")?)?,
-            tenants: usize::deserialize(value.field("tenants")?)?,
-            wal_backlog: u64::deserialize(value.field("wal_backlog")?)?,
-        })
-    }
-}
-
-impl Serialize for TenantHealth {
-    fn serialize(&self) -> Value {
-        obj(vec![
-            ("tenant", self.tenant.serialize()),
-            ("shed", self.shed.serialize()),
-            ("inflight", self.inflight.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for TenantHealth {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(TenantHealth {
-            tenant: String::deserialize(value.field("tenant")?)?,
-            shed: u64::deserialize(value.field("shed")?)?,
-            inflight: usize::deserialize(value.field("inflight")?)?,
-        })
-    }
-}
-
-impl Serialize for HealthReport {
-    fn serialize(&self) -> Value {
-        obj(vec![
-            ("shards", self.shards.serialize()),
-            ("degraded", self.degraded.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for HealthReport {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(HealthReport {
-            shards: Vec::<ShardHealth>::deserialize(value.field("shards")?)?,
-            degraded: Vec::<TenantHealth>::deserialize(value.field("degraded")?)?,
-        })
-    }
 }
 
 /// Build a JSON object from `(key, value)` pairs.
@@ -365,8 +302,7 @@ pub enum Request {
         budget: usize,
     },
     /// Solve a batch of offline instances through `Solver::solve_batch` on the
-    /// work-stealing pool (MaxThroughput under `budget` when given, MinBusy
-    /// otherwise).  Not tenant-scoped: batches run beside the shards.
+    /// thread pool (MaxThroughput under `budget` when given, MinBusy otherwise).  Not tenant-scoped: batches run beside the shards.
     Batch {
         /// The instances to solve, in order.
         instances: Vec<BatchInstance>,

@@ -20,7 +20,7 @@
 //! [`Engine`] is the cloneable front door: the TCP server hands one clone to every
 //! connection thread, the in-process tests and benchmarks call it directly.  Batch
 //! solves ([`Request::Batch`]) do not touch the shards at all — they fan out through
-//! [`Solver::solve_batch`] on the work-stealing pool beside them.
+//! [`Solver::solve_batch`] on the thread pool beside them.
 //!
 //! **Durability** is opt-in per registry ([`Registry::with_durability`]): each shard
 //! then writes every applied mutation to its tenant's `busytime-durability` journal
@@ -554,7 +554,7 @@ enum ShardSendError {
 }
 
 /// The cloneable front door of the registry: routes tenant operations to their home
-/// shard over the bounded queues and runs batch solves on the work-stealing pool.
+/// shard over the bounded queues and runs batch solves on the thread pool.
 #[derive(Clone)]
 pub struct Engine {
     shards: Arc<Vec<ShardSlot>>,

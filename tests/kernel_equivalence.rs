@@ -6,7 +6,7 @@
 use busytime::machine::ScheduleBuilder;
 use busytime::maxthroughput::{greedy_fallback, greedy_fallback_scan};
 use busytime::minbusy::{first_fit_in_order, first_fit_in_order_scan};
-use busytime::twodim::{first_fit_2d_in_order, first_fit_2d_in_order_scan, Instance2d};
+use busytime::twodim::{first_fit_2d_in_order, Instance2d};
 use busytime::{Duration, Instance, Interval, Schedule};
 use busytime_interval::{max_overlap, span, Rect};
 use proptest::prelude::*;
@@ -92,10 +92,10 @@ proptest! {
         prop_assert!(fast.cost <= budget);
     }
 
-    /// The dimension-1-pruned 2-D FirstFit produces the identical schedule to the
-    /// full-scan reference, in both the canonical `len₂` order and arrival order.
+    /// 2-D FirstFit builds a complete, capacity-respecting schedule in both the
+    /// canonical `len₂` order and arrival order.
     #[test]
-    fn first_fit_2d_matches_scan_reference(
+    fn first_fit_2d_in_order_is_valid_in_both_orders(
         rects in prop::collection::vec((-30i64..30, 1i64..20, -30i64..30, 1i64..20), 0..30),
         g in 1usize..4,
     ) {
@@ -104,16 +104,14 @@ proptest! {
             .map(|(s1, l1, s2, l2)| Rect::from_ticks(s1, s1 + l1, s2, s2 + l2))
             .collect();
         let instance = Instance2d::new(jobs, g).expect("g >= 1");
-        let mut by_len2: Vec<usize> = (0..instance.len()).collect();
-        by_len2.sort_by_key(|&j| (std::cmp::Reverse(instance.job(j).len_k(2)), j));
-        let fast = first_fit_2d_in_order(&instance, &by_len2);
-        prop_assert_eq!(&fast, &first_fit_2d_in_order_scan(&instance, &by_len2));
-        fast.validate_complete(&instance).unwrap();
         let arrival: Vec<usize> = (0..instance.len()).collect();
-        prop_assert_eq!(
-            first_fit_2d_in_order(&instance, &arrival),
-            first_fit_2d_in_order_scan(&instance, &arrival)
-        );
+        let mut by_len2 = arrival.clone();
+        by_len2.sort_by_key(|&j| (std::cmp::Reverse(instance.job(j).len_k(2)), j));
+        for order in [&by_len2, &arrival] {
+            first_fit_2d_in_order(&instance, order)
+                .validate_complete(&instance)
+                .unwrap();
+        }
     }
 
     /// The sweep-backed validator agrees with the old per-group `max_overlap` check on

@@ -1,8 +1,8 @@
 //! Property tests for the placement/throughput layer v2: the placement-index-backed
 //! machine selection must be behaviourally indistinguishable from the linear digest
 //! scan it replaced, the adaptive scan/kernel dispatch must not change any schedule,
-//! and the work-stealing parallel batch engine must return exactly the sequential
-//! results in the sequential order, at every pool width.
+//! and the parallel batch engine must return exactly the sequential results in the
+//! sequential order, at every pool width.
 
 use busytime::machine::ScheduleBuilder;
 use busytime::minbusy::{first_fit_in_order, first_fit_in_order_adaptive, first_fit_in_order_scan};
