@@ -182,9 +182,10 @@ impl Instance {
         Duration::new(self.soa.total_len_ticks())
     }
 
-    /// Span `span(J)` of all jobs (Definition 2.2).
+    /// Span `span(J)` of all jobs (Definition 2.2), an `O(1)` read of the value the
+    /// SoA columns computed in their construction pass.
     pub fn span(&self) -> Duration {
-        self.soa.profile().span()
+        Duration::new(self.soa.span_ticks())
     }
 
     /// Largest number of jobs active at any single time.

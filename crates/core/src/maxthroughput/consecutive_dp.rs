@@ -11,10 +11,12 @@
 //!   paper with two small repairs it needs to be well-defined: a "no machine opened yet"
 //!   state (`j = 0`) so that leading unscheduled jobs are representable, and the range of
 //!   `u′` in the new-machine case starting at 0 (adjacent blocks on different machines);
-//! * [`most_throughput_consecutive_fast`] — an equivalent `O(n²·g)` program that only
-//!   remembers whether the previous job sits on the still-open machine.  Used as a
-//!   cross-check and as the scalable implementation; the experiment harness compares the
-//!   two as an ablation.
+//! * [`most_throughput_consecutive_fast`] — an equivalent `O(n²·g)`-time program that
+//!   only remembers how many jobs the still-open machine holds.  It keeps two rolling
+//!   layers of `(n+1)·(g+1)` costs and one `u32` parent per `(i, t < i)`: about `2·n²`
+//!   bytes (2 MB at n = 1 000).  It is the scalable implementation the solver dispatches
+//!   to; the paper-faithful table is its test reference, and the experiment harness
+//!   compares the two as an ablation.
 
 use busytime_interval::Duration;
 
@@ -46,7 +48,7 @@ enum Step {
 }
 
 /// Paper-faithful DP of Theorem 4.2 (`O(n³·g)` time, `O(n²·g)` memory for the two live
-/// layers plus `O(n²·g)` for the reconstruction table).
+/// layers plus `O(n³·g)` for the reconstruction table of `(n+1)³·(g+1)` steps).
 ///
 /// Returns [`Error::NotProperClique`] unless the instance is both proper and a clique.
 pub fn most_throughput_consecutive(
@@ -175,12 +177,17 @@ pub fn most_throughput_consecutive(
     Ok(result)
 }
 
-/// Equivalent `O(n²·g)` dynamic program.
+/// Equivalent `O(n²·g)` dynamic program in `O(n²)` memory.
 ///
 /// State after deciding job `i`: either job `i` is unscheduled (`j = 0`) or it sits on
 /// the currently open machine together with `j − 1` of its immediate predecessors.  An
 /// unscheduled job closes the open machine because machine job sets must be consecutive
 /// in the full instance (Lemma 4.3); a new machine may also be opened with no gap.
+///
+/// Only two layers of `(n+1)·(g+1)` costs are live, stored `t`-major so that the
+/// minimum over `j` reads one contiguous row.  A state with `j ≥ 2` always comes from
+/// `(j − 1, t)`, so the only parents worth storing are the first arg-min over `j` of
+/// layer `i − 1` at every `t < i` — `n(n+1)/2` `u32`s, about `2·n²` bytes in all.
 pub fn most_throughput_consecutive_fast(
     instance: &Instance,
     budget: Duration,
@@ -193,102 +200,89 @@ pub fn most_throughput_consecutive_fast(
         return Ok(ThroughputResult::new(Schedule::empty(0), instance));
     }
     let g = instance.capacity().min(n);
-    let jobs = instance.jobs();
+    let (starts, ends) = (instance.starts(), instance.ends());
+    let w = g + 1;
 
-    // dp[i][j][t] and parent[i][j][t] = predecessor j'.
-    let mut dp = vec![vec![vec![INF; n + 1]; g + 1]; n + 1];
-    let mut parent = vec![vec![vec![usize::MAX; n + 1]; g + 1]; n + 1];
-    dp[0][0][0] = 0;
+    // prev/curr[t·w + j]: layers i − 1 and i.  Layer i only fills rows t ≤ i; the rows
+    // above stay INF in both buffers.
+    let mut prev = vec![INF; (n + 1) * w];
+    let mut curr = vec![INF; (n + 1) * w];
+    prev[0] = 0;
+    // argmin[i(i−1)/2 + t] = first arg-min over j of layer i − 1 at t, for t < i.  Every
+    // such row holds a finite state (the first t jobs left out, one machine per other
+    // job), and j ≤ g ≤ n fits a u32 because instances index jobs with u32.
+    let mut argmin = vec![0u32; n * (n + 1) / 2];
 
     for i in 1..=n {
-        let job = jobs[i - 1];
-        for t in 0..=i {
+        let len = ends[i - 1] - starts[i - 1];
+        let inc = if i >= 2 { ends[i - 1] - ends[i - 2] } else { 0 };
+        debug_assert!(inc >= 0, "ends are non-decreasing in a proper instance");
+        let row_args = &mut argmin[i * (i - 1) / 2..][..i];
+        // The minimum of layer i − 1's row t − 1: the `j = 0` cell of row t.
+        let mut below = INF;
+        for (t, arg_out) in row_args.iter_mut().enumerate() {
+            let prev_row = &prev[t * w..][..w];
+            let out = &mut curr[t * w..][..w];
             // Job i unscheduled.
-            if t >= 1 {
-                let (best, arg) = min_over_j(&dp[i - 1], g, t - 1);
-                if best < dp[i][0][t] {
-                    dp[i][0][t] = best;
-                    parent[i][0][t] = arg;
+            out[0] = below;
+            let (mut best, mut arg) = (prev_row[0], 0);
+            for (j, &c) in prev_row.iter().enumerate().skip(1) {
+                if c < best {
+                    best = c;
+                    arg = j;
                 }
             }
+            debug_assert!(best < INF, "every row t < i of layer i − 1 is reachable");
+            *arg_out = arg as u32;
+            below = best;
             // Job i opens a new machine.
-            {
-                let (best, arg) = min_over_j(&dp[i - 1], g, t);
-                if best < INF {
-                    let cand = best + job.len().ticks();
-                    if cand < dp[i][1][t] {
-                        dp[i][1][t] = cand;
-                        parent[i][1][t] = arg;
-                    }
-                }
-            }
-            // Job i joins the open machine (requires job i-1 on it with j-1 < g jobs).
-            if i >= 2 {
-                let inc = (job.end() - jobs[i - 2].end()).ticks();
-                debug_assert!(inc >= 0, "ends are non-decreasing in a proper instance");
-                for j in 2..=g {
-                    let c = dp[i - 1][j - 1][t];
-                    if c < INF {
-                        let cand = c + inc;
-                        if cand < dp[i][j][t] {
-                            dp[i][j][t] = cand;
-                            parent[i][j][t] = j - 1;
-                        }
-                    }
-                }
+            out[1] = best + len;
+            // Job i joins the open machine (job i − 1 on it with j − 1 < g jobs).
+            for j in 2..=g {
+                let c = prev_row[j - 1];
+                out[j] = if c < INF { c + inc } else { INF };
             }
         }
+        // Row i: every job so far unscheduled.
+        curr[i * w] = below;
+        std::mem::swap(&mut prev, &mut curr);
     }
 
-    // Minimum t with any state under budget.
-    let mut chosen: Option<(usize, usize)> = None; // (j, t)
-    'outer: for t in 0..=n {
-        for j in 0..=g {
-            if dp[n][j][t] <= budget.ticks() {
-                chosen = Some((j, t));
-                break 'outer;
-            }
-        }
-    }
-    let (mut j, mut t) = chosen.expect("scheduling nothing always fits the budget");
+    // Minimum t with a state under budget, then minimum j.
+    let chosen = prev
+        .iter()
+        .position(|&c| c < INF && c <= budget.ticks())
+        .expect("scheduling nothing always fits the budget");
+    let (mut t, mut j) = (chosen / w, chosen % w);
 
     // Reconstruct decisions.
     let mut decision = vec![Step::None; n + 1];
-    let mut i = n;
-    while i > 0 {
+    for i in (1..=n).rev() {
+        let row_args = &argmin[i * (i - 1) / 2..][..i];
         decision[i] = match j {
-            0 => Step::Unscheduled,
-            1 => Step::NewMachine {
-                prev_j: 0,
-                prev_u: 0,
-            },
-            _ => Step::Append,
+            0 => {
+                t -= 1;
+                j = row_args[t] as usize;
+                Step::Unscheduled
+            }
+            1 => {
+                j = row_args[t] as usize;
+                Step::NewMachine {
+                    prev_j: 0,
+                    prev_u: 0,
+                }
+            }
+            _ => {
+                j -= 1;
+                Step::Append
+            }
         };
-        let pj = parent[i][j][t];
-        if j == 0 {
-            t -= 1;
-        }
-        j = pj;
-        i -= 1;
     }
 
     let schedule = schedule_from_decisions(n, &decision);
     let result = ThroughputResult::new(schedule, instance);
     debug_assert!(result.cost <= budget);
     Ok(result)
-}
-
-/// Minimum of `layer[j][t]` over `j = 0..=g` together with the arg-min.
-fn min_over_j(layer: &[Vec<i64>], g: usize, t: usize) -> (i64, usize) {
-    let mut best = INF;
-    let mut arg = usize::MAX;
-    for (j, row) in layer.iter().enumerate().take(g + 1) {
-        if row[t] < best {
-            best = row[t];
-            arg = j;
-        }
-    }
-    (best, arg)
 }
 
 /// Turn per-job decisions (1-based) into a schedule: `NewMachine` starts a machine,
@@ -352,12 +346,15 @@ mod tests {
     fn unlimited_budget_schedules_all_jobs_optimally() {
         let inst = staircase(7, 1, 9, 3);
         let budget = Duration::new(10_000);
-        let r = most_throughput_consecutive_fast(&inst, budget).unwrap();
-        assert_eq!(r.throughput, 7);
         // With everything scheduled the cost must match the MinBusy optimum of
         // Theorem 3.2 (FindBestConsecutive).
         let minbusy = crate::minbusy::find_best_consecutive(&inst).unwrap();
-        assert_eq!(r.cost, minbusy.cost(&inst));
+        // A budget past the DP's unreachable-state sentinel must not select one.
+        for budget in [budget, Duration::new(i64::MAX)] {
+            let r = most_throughput_consecutive_fast(&inst, budget).unwrap();
+            assert_eq!(r.throughput, 7);
+            assert_eq!(r.cost, minbusy.cost(&inst));
+        }
         let r2 = most_throughput_consecutive(&inst, budget).unwrap();
         assert_eq!(r2.throughput, 7);
         assert_eq!(r2.cost, minbusy.cost(&inst));

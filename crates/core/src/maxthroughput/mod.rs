@@ -3,10 +3,10 @@
 //!
 //! | function | instance class | guarantee | paper reference |
 //! |---|---|---|---|
-//! | [`one_sided_max_throughput`] | one-sided clique | optimal | Proposition 4.1 |
+//! | [`one_sided_max_throughput`] | one-sided clique | optimal | Proposition 4.1 (`O(n)` after the cached length sort) |
 //! | [`clique_max_throughput`] | clique | 4 | Theorem 4.1 (Alg1 + Alg2) |
-//! | [`most_throughput_consecutive`] | proper clique | optimal | Theorem 4.2 |
-//! | [`most_throughput_consecutive_fast`] | proper clique | optimal | `O(n²·g)` variant |
+//! | [`most_throughput_consecutive`] | proper clique | optimal | Theorem 4.2 (`O(n³·g)` time and memory; test reference) |
+//! | [`most_throughput_consecutive_fast`] | proper clique | optimal | Theorem 4.2 in `O(n²·g)` time, `O(n²)` memory (~`2·n²` bytes) |
 //! | [`minbusy_via_maxthroughput`] | any | — | Proposition 2.2 |
 //! | [`maxthroughput_via_minbusy`] | any | — | Proposition 2.3 |
 //! | [`weighted_throughput_proper_clique`] | proper clique | optimal (Pareto DP) | Section 5 extension (weighted throughput) |

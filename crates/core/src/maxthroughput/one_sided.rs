@@ -14,57 +14,56 @@ use crate::minbusy::schedule_by_length_groups;
 use crate::schedule::ThroughputResult;
 
 /// Optimal MaxThroughput schedule for a one-sided clique instance and budget `budget`
-/// (Proposition 4.1).
+/// (Proposition 4.1): the [`one_sided_max_throughput_value`] shortest jobs, grouped by
+/// [`schedule_by_length_groups`].
 ///
 /// Returns [`Error::NotOneSided`] when the instance is not one-sided.
 pub fn one_sided_max_throughput(
     instance: &Instance,
     budget: Duration,
 ) -> Result<ThroughputResult, Error> {
-    if !instance.is_one_sided() {
-        return Err(Error::NotOneSided);
-    }
-    let g = instance.capacity();
-    // Job ids by non-decreasing length.
-    let mut by_len: Vec<JobId> = (0..instance.len()).collect();
-    by_len.sort_by_key(|&j| (instance.job(j).len(), j));
-
-    // Cost of scheduling the k shortest jobs: group them by non-increasing length in
-    // blocks of g; each block pays its longest head.  Because the k shortest jobs in
-    // non-increasing order are a suffix-reversal of `by_len`, the block maxima are simply
-    // every g-th element counted from the longest of the chosen prefix.
-    let prefix_cost = |k: usize| -> Duration {
-        let mut cost = Duration::ZERO;
-        // The chosen jobs, longest first, are by_len[..k] reversed.
-        let mut idx = 0usize;
-        while idx < k {
-            let longest = by_len[k - 1 - idx];
-            cost += instance.job(longest).len();
-            idx += g;
-        }
-        cost
-    };
-
-    let mut best_k = 0usize;
-    for k in (0..=instance.len()).rev() {
-        if prefix_cost(k) <= budget {
-            best_k = k;
-            break;
-        }
-    }
-    let chosen: Vec<JobId> = by_len[..best_k].to_vec();
+    let k = one_sided_max_throughput_value(instance, budget)?;
+    let chosen: Vec<JobId> = instance.order_by_length_asc()[..k]
+        .iter()
+        .map(|&j| j as JobId)
+        .collect();
     let schedule = schedule_by_length_groups(instance, &chosen);
     let result = ThroughputResult::new(schedule, instance);
     debug_assert!(result.cost <= budget);
     Ok(result)
 }
 
-/// The optimal throughput value only (no schedule), for use in tight loops.
+/// The optimal throughput value only (no schedule): one `O(n)` pass over the instance's
+/// cached shortest-first order, cheap enough for tight loops.
+///
+/// Scheduling the `k` shortest jobs longest first in blocks of `g` pays every `g`-th
+/// length counted from the `k`-th shortest, so their cost obeys
+/// `C(k) = len(k-th shortest) + C(k − g)`.  `C` never falls as `k` grows (each head of
+/// `C(k − 1)` has a head of `C(k)` at least as long), so the answer is the last `k`
+/// before the first one over budget.
+///
+/// Returns [`Error::NotOneSided`] when the instance is not one-sided.
 pub fn one_sided_max_throughput_value(
     instance: &Instance,
     budget: Duration,
 ) -> Result<usize, Error> {
-    one_sided_max_throughput(instance, budget).map(|r| r.throughput)
+    if !instance.is_one_sided() {
+        return Err(Error::NotOneSided);
+    }
+    let soa = instance.soa();
+    let order = instance.order_by_length_asc();
+    // Slot `k mod g` holds C(k): C(k) adds one length to C(k − g), the slot's previous
+    // value (and C(k) = 0 for k ≤ 0).  With g > n, k mod g is k itself, so n + 1 slots
+    // cover it.
+    let mut slots = vec![0i64; instance.capacity().min(order.len() + 1)];
+    for (k, &j) in (1..).zip(order) {
+        let slot = k % slots.len();
+        slots[slot] += soa.job_len(j as usize);
+        if slots[slot] > budget.ticks() {
+            return Ok(k - 1);
+        }
+    }
+    Ok(order.len())
 }
 
 /// Brute-force helper used in tests: the cost of optimally scheduling an explicit job

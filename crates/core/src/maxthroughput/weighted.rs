@@ -44,8 +44,9 @@ struct FrontierPoint {
     profit: i64,
     /// Index of the predecessor point in the previous state's frontier.
     parent: u32,
-    /// Predecessor state's `j` coordinate.
-    parent_j: u8,
+    /// Predecessor state's `j` coordinate (`j ≤ g ≤ n`, and instances index jobs with
+    /// `u32`).
+    parent_j: u32,
     /// How job `i` was handled: 0 = unscheduled, 1 = new machine, 2 = appended.
     step: u8,
 }
@@ -114,7 +115,7 @@ pub fn weighted_throughput_proper_clique(
                     cost: point.cost,
                     profit: point.profit,
                     parent: idx as u32,
-                    parent_j: prev_j as u8,
+                    parent_j: prev_j as u32,
                     step: 0,
                 });
                 // Job i opens a new machine.
@@ -124,7 +125,7 @@ pub fn weighted_throughput_proper_clique(
                         cost: new_cost,
                         profit: point.profit + profits[i - 1],
                         parent: idx as u32,
-                        parent_j: prev_j as u8,
+                        parent_j: prev_j as u32,
                         step: 1,
                     });
                 }
@@ -136,7 +137,7 @@ pub fn weighted_throughput_proper_clique(
                             cost: appended_cost,
                             profit: point.profit + profits[i - 1],
                             parent: idx as u32,
-                            parent_j: prev_j as u8,
+                            parent_j: prev_j as u32,
                             step: 2,
                         });
                     }
@@ -230,17 +231,26 @@ mod tests {
 
     #[test]
     fn unit_profits_reduce_to_theorem_4_2() {
-        let inst = staircase(7, 10, 2);
-        let profits = vec![1i64; 7];
-        for budget in 0..=40 {
-            let budget = Duration::new(budget);
-            let weighted = weighted_throughput_proper_clique(&inst, &profits, budget).unwrap();
-            let unweighted = most_throughput_consecutive_fast(&inst, budget).unwrap();
+        let check = |inst: &Instance, budget: Duration| {
+            let profits = vec![1i64; inst.len()];
+            let weighted = weighted_throughput_proper_clique(inst, &profits, budget).unwrap();
+            let unweighted = most_throughput_consecutive_fast(inst, budget).unwrap();
             assert_eq!(
-                weighted.profit as usize, unweighted.throughput,
-                "budget {budget}"
+                weighted.profit as usize,
+                unweighted.throughput,
+                "n {} g {} budget {budget}",
+                inst.len(),
+                inst.capacity()
             );
-            weighted.schedule.validate_budgeted(&inst, budget).unwrap();
+            weighted.schedule.validate_budgeted(inst, budget).unwrap();
+        };
+        let inst = staircase(7, 10, 2);
+        for budget in 0..=40 {
+            check(&inst, Duration::new(budget));
+        }
+        // Past g = 256 a predecessor's j no longer fits a byte.
+        for n in [257, 300] {
+            check(&staircase(n, 1_000, n as usize), Duration::new(2_000));
         }
     }
 

@@ -3,17 +3,17 @@
 //! The hot placement paths spend their time streaming over job endpoints and canonical
 //! job orders, not over `Interval` structs: FirstFit wants the jobs by non-increasing
 //! length, the best-fit greedy wants them by non-decreasing length, and every
-//! profile-backed aggregate (span, maximum overlap, per-depth lengths) wants the start
-//! and end coordinates as two sorted runs.  Before this module each of those callers
+//! profile-backed aggregate (maximum overlap, per-depth lengths) wants the start and end
+//! coordinates as two sorted runs.  Before this module each of those callers
 //! re-derived its view per call — a fresh `O(n log n)` sort of indices or endpoint
 //! events every time FirstFit, the greedy fallback or `max_overlap` ran.
 //!
-//! [`JobsSoa`] computes each view once and shares it: the `start[]`/`end[]` columns are
-//! materialised at instance construction (the jobs are already being sorted there), and
-//! the derived views — sorted end events, the two length orders, the coordinate-
-//! compressed [`DepthProfile`] — are built lazily on first use and cached behind
-//! [`OnceLock`]s, so cloned instances share nothing mutable and repeated queries are
-//! `O(1)`.
+//! [`JobsSoa`] computes each view once and shares it: the `start[]`/`end[]` columns,
+//! the total length and the span are materialised at instance construction (the jobs
+//! are already being sorted there), and the derived views — sorted end events, the two
+//! length orders, the coordinate-compressed [`DepthProfile`] — are built lazily on first
+//! use and cached behind [`OnceLock`]s, so cloned instances share nothing mutable and
+//! repeated queries are `O(1)`.
 
 use std::sync::OnceLock;
 
@@ -31,6 +31,7 @@ pub struct JobsSoa {
     ends: Vec<i64>,
     total_len: i64,
     max_end: i64,
+    span: i64,
     ends_sorted: OnceLock<Vec<i64>>,
     by_len_desc: OnceLock<Vec<u32>>,
     by_len_asc: OnceLock<Vec<u32>>,
@@ -46,13 +47,22 @@ impl JobsSoa {
         );
         let starts: Vec<i64> = jobs.iter().map(|j| j.start().ticks()).collect();
         let ends: Vec<i64> = jobs.iter().map(|j| j.end().ticks()).collect();
-        let total_len = starts.iter().zip(&ends).map(|(s, e)| e - s).sum();
-        let max_end = ends.iter().copied().max().unwrap_or(i64::MIN);
+        // One pass for the aggregates.  The starts are sorted, so a job adds to the
+        // union length whatever it reaches past every earlier job's end.
+        let (mut total_len, mut span, mut max_end) = (0, 0, i64::MIN);
+        for (&s, &e) in starts.iter().zip(&ends) {
+            total_len += e - s;
+            if e > max_end {
+                span += e - s.max(max_end);
+                max_end = e;
+            }
+        }
         JobsSoa {
             starts,
             ends,
             total_len,
             max_end,
+            span,
             ends_sorted: OnceLock::new(),
             by_len_desc: OnceLock::new(),
             by_len_asc: OnceLock::new(),
@@ -103,6 +113,11 @@ impl JobsSoa {
         self.total_len
     }
 
+    /// Length of the union of all jobs in ticks (`span(J)`), computed at construction.
+    pub(crate) fn span_ticks(&self) -> i64 {
+        self.span
+    }
+
     /// The convex hull of all jobs as `(lo, hi)` ticks, or `None` when empty — an
     /// `O(1)` read (the first start is the minimum because the columns are sorted).
     pub fn hull_ticks(&self) -> Option<(i64, i64)> {
@@ -151,9 +166,9 @@ impl JobsSoa {
     /// The coordinate-compressed depth profile of the whole job set, built from the
     /// two sorted endpoint runs in `O(n)` (after the one-time end sort) and cached.
     ///
-    /// Span, maximum overlap and the per-depth lengths all read off this single
-    /// structure, so an instance pays for at most one profile however many aggregate
-    /// queries run against it.
+    /// Maximum overlap and the per-depth lengths both read off this single structure,
+    /// so an instance pays for at most one profile however many aggregate queries run
+    /// against it.  The span does not need it: it is computed at construction.
     pub fn profile(&self) -> &DepthProfile {
         self.profile
             .get_or_init(|| DepthProfile::from_sorted_events(&self.starts, self.ends_sorted()))
@@ -207,6 +222,7 @@ mod tests {
         let direct = DepthProfile::new(&jobs);
         assert_eq!(soa.profile(), &direct);
         assert_eq!(soa.profile().span(), Duration::new(6 + 2));
+        assert_eq!(soa.span_ticks(), 6 + 2);
         assert_eq!(soa.profile().max_depth(), 3);
     }
 

@@ -192,9 +192,11 @@ pub enum Algorithm {
     /// FirstFit baseline of \[13\] — 4-approximation on general instances (fallback).
     FirstFit,
     // MaxThroughput (Section 4).
-    /// Proposition 4.1 — optimal on one-sided clique instances.
+    /// Proposition 4.1 — optimal on one-sided clique instances (one `O(n)` prefix scan
+    /// over the cached length order).
     ThroughputOneSided,
-    /// Theorem 4.2 — optimal on proper clique instances (the `O(n²·g)` DP).
+    /// Theorem 4.2 — optimal on proper clique instances (the `O(n²·g)`-time DP in
+    /// about `2·n²` bytes).
     ThroughputProperCliqueDp,
     /// Theorem 4.1 (Alg1 + Alg2) — 4-approximation on clique instances.
     ThroughputCliqueApprox,

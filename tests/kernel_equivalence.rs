@@ -9,6 +9,10 @@ use busytime::minbusy::{first_fit_in_order, first_fit_in_order_scan};
 use busytime::twodim::{first_fit_2d_in_order, Instance2d};
 use busytime::{Duration, Instance, Interval, Schedule};
 use busytime_interval::{max_overlap, span, Rect};
+use busytime_workload::{
+    clique_instance, cloud_trace, general_instance, one_sided_instance, optical_lightpaths,
+    proper_clique_instance, proper_instance, seeded_rng,
+};
 use proptest::prelude::*;
 
 /// Random instances mixing overlap-heavy and scattered jobs.
@@ -43,7 +47,57 @@ fn is_valid_reference(schedule: &Schedule, instance: &Instance) -> bool {
     })
 }
 
+/// Random jobs, each paired with a nested, touching, duplicate or far-away disjoint
+/// partner — the cases a one-pass union length can get wrong.
+fn span_edge_strategy() -> impl Strategy<Value = Instance> {
+    (
+        prop::collection::vec((0u8..4, -40i64..40, 1i64..12), 0..30),
+        1usize..4,
+    )
+        .prop_map(|(pieces, g)| {
+            let mut jobs = Vec::new();
+            for (shape, s, l) in pieces {
+                jobs.push((s, s + l));
+                jobs.push(match shape {
+                    0 => (s + l / 2, s + l / 2 + 1),
+                    1 => (s + l, s + 2 * l),
+                    2 => (s, s + l),
+                    _ => (s + 1_000, s + 1_000 + l),
+                });
+            }
+            Instance::try_from_ticks(&jobs, g).expect("generated jobs are non-empty")
+        })
+}
+
 proptest! {
+    /// `Instance::span`, computed in the SoA construction pass, is the union length of
+    /// the jobs on nested, touching, duplicate and disjoint jobs.
+    #[test]
+    fn instance_span_matches_union_length(instance in span_edge_strategy()) {
+        prop_assert_eq!(instance.span(), span(instance.jobs()));
+    }
+
+    /// The same on every workload family's generator.
+    #[test]
+    fn instance_span_matches_union_length_on_every_family(
+        seed in 0u64..10_000,
+        n in 0usize..300,
+        family in 0usize..7,
+    ) {
+        let rng = &mut seeded_rng(seed);
+        let g = 4;
+        let instance = match family {
+            0 => clique_instance(rng, n, g, 1_000),
+            1 => one_sided_instance(rng, n, g, 1_000),
+            2 => proper_clique_instance(rng, n, g, 2 * n.max(1) as i64),
+            3 => proper_instance(rng, n, g, 40, 8),
+            4 => general_instance(rng, n, g, 5 * n.max(1) as i64, 60),
+            5 => cloud_trace(rng, n, g, 5, 1, 500),
+            _ => optical_lightpaths(rng, n, g, 64),
+        };
+        prop_assert_eq!(instance.span(), span(instance.jobs()));
+    }
+
     /// The incremental cost a `ScheduleBuilder` tracks equals `Schedule::cost`, which
     /// in turn equals the old group-and-re-union computation.
     #[test]
