@@ -15,7 +15,7 @@
 //! solves a whole file of instances through [`busytime::Solver::solve`] on the thread
 //! pool; `--threads N` sets the pool size (the default is
 //! [`busytime::Solver::solve_batch`]'s: one worker per core).  `simulate` replays an
-//! online event trace through [`busytime::Solver::solve_online`] and reports the
+//! online event trace through [`busytime::OnlineScheduler::run`] and reports the
 //! per-event cost trajectory plus the final live schedule.
 //!
 //! ```text
@@ -38,7 +38,7 @@
 #![forbid(unsafe_code)]
 
 use busytime::analysis::ScheduleSummary;
-use busytime::online::{Defrag, Event, OnlinePolicy, Trace};
+use busytime::online::{Defrag, Event, OnlinePolicy, OnlineScheduler, Trace};
 use busytime::par::ThreadPool;
 use busytime::report::{ScheduleReport, SimulationReport};
 use busytime::{
@@ -482,7 +482,7 @@ fn render_simulation(prefix: &str, payload: &SimulationReport) -> String {
 }
 
 /// `busytime simulate`: replay an online event trace through
-/// [`busytime::Solver::solve_online`], reporting the shared
+/// [`OnlineScheduler::run`], reporting the shared
 /// [`SimulationReport`] schema (the same shape the server's `query` returns).
 ///
 /// With `--defrag-budget K` the replay runs through the [`Defrag`] wrapper —
@@ -501,9 +501,7 @@ pub fn run_simulate(
             format!("simulate ({policy}, defrag budget {budget})"),
         ),
         None => (
-            Solver::new()
-                .solve_online(&trace, policy)
-                .map_err(|e| e.to_string())?,
+            OnlineScheduler::run(&trace, policy).map_err(|e| e.to_string())?,
             format!("simulate ({policy})"),
         ),
     };

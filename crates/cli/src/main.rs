@@ -42,6 +42,8 @@
 //! defragmentation pass of at most K job migrations after every applied event,
 //! so a `query` against such a daemon matches `simulate --defrag-budget K`.
 
+use std::str::FromStr;
+
 use busytime::online::OnlinePolicy;
 use busytime::Algorithm;
 use busytime_cli::{
@@ -58,6 +60,23 @@ fn usage() -> ! {
         "usage:\n  busytime solve <instance.json> [--algorithm NAME] [--exact-only] [--output schedule.json]\n  busytime bound <instance.json> [--max-nodes N] [--max-millis MS] [--output bound.json]\n  busytime throughput <instance.json> --budget T [--algorithm NAME] [--exact-only] [--output schedule.json]\n  busytime batch <instances.json> [--budget T] [--threads N] [--algorithm NAME] [--exact-only] [--output results.json]\n  busytime simulate <trace.json> [--policy POLICY] [--defrag-budget K] [--output simulation.json]\n  busytime generate --class CLASS --jobs N --capacity G [--seed S] [--output instance.json]\n  busytime serve [--addr HOST:PORT] [--shards N] [--data-dir PATH] [--fsync-batch N] [--compact-every N] [--max-inflight N] [--tenant-rate R] [--defrag-budget K]\n  busytime client <trace.json> --tenant NAME [--addr HOST:PORT] [--policy POLICY] [--binary] [--pipeline N] [--output report.json]\n  busytime fsck <data-dir>"
     );
     std::process::exit(2);
+}
+
+/// The value after a flag, parsed; a missing or unparsable value prints the usage.
+fn value<T: FromStr>(it: &mut std::slice::Iter<'_, String>) -> T {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
+/// [`value`] for flags that only take values above zero.
+fn positive<T: FromStr + PartialOrd + Default>(it: &mut std::slice::Iter<'_, String>) -> T {
+    let v = value(it);
+    if v > T::default() {
+        v
+    } else {
+        usage()
+    }
 }
 
 fn read_instance(path: &str) -> InstanceFile {
@@ -121,7 +140,7 @@ fn main() {
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--output" => output_path = it.next().cloned(),
+                    "--output" => output_path = Some(value(&mut it)),
                     "--algorithm" => options.algorithm = Some(parse_algorithm(it.next())),
                     "--exact-only" => options.exact_only = true,
                     other if instance_path.is_none() => instance_path = Some(other.to_string()),
@@ -138,22 +157,9 @@ fn main() {
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--output" => output_path = it.next().cloned(),
-                    "--max-nodes" => {
-                        max_nodes = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--max-millis" => {
-                        max_millis = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .filter(|&ms| ms > 0)
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
+                    "--output" => output_path = Some(value(&mut it)),
+                    "--max-nodes" => max_nodes = Some(value(&mut it)),
+                    "--max-millis" => max_millis = Some(positive(&mut it)),
                     other if instance_path.is_none() => instance_path = Some(other.to_string()),
                     _ => usage(),
                 }
@@ -171,8 +177,8 @@ fn main() {
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--output" => output_path = it.next().cloned(),
-                    "--budget" => budget = it.next().and_then(|v| v.parse().ok()),
+                    "--output" => output_path = Some(value(&mut it)),
+                    "--budget" => budget = Some(value(&mut it)),
                     "--algorithm" => options.algorithm = Some(parse_algorithm(it.next())),
                     "--exact-only" => options.exact_only = true,
                     other if instance_path.is_none() => instance_path = Some(other.to_string()),
@@ -197,23 +203,11 @@ fn main() {
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--output" => output_path = it.next().cloned(),
+                    "--output" => output_path = Some(value(&mut it)),
                     // A malformed budget must not silently demote the batch to
                     // MinBusy: reject it like any other unparsable flag value.
-                    "--budget" => {
-                        budget = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--threads" => {
-                        threads = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
+                    "--budget" => budget = Some(value(&mut it)),
+                    "--threads" => threads = Some(value(&mut it)),
                     "--algorithm" => options.algorithm = Some(parse_algorithm(it.next())),
                     "--exact-only" => options.exact_only = true,
                     other if batch_path.is_none() => batch_path = Some(other.to_string()),
@@ -238,15 +232,8 @@ fn main() {
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--output" => output_path = it.next().cloned(),
-                    "--defrag-budget" => {
-                        defrag_budget = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .filter(|&n| n > 0)
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
+                    "--output" => output_path = Some(value(&mut it)),
+                    "--defrag-budget" => defrag_budget = Some(positive(&mut it)),
                     "--policy" => {
                         policy = it
                             .next()
@@ -292,25 +279,10 @@ fn main() {
                             })
                         })
                     }
-                    "--jobs" => {
-                        jobs = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--capacity" => {
-                        capacity = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--seed" => {
-                        seed = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--output" => output_path = it.next().cloned(),
+                    "--jobs" => jobs = value(&mut it),
+                    "--capacity" => capacity = value(&mut it),
+                    "--seed" => seed = value(&mut it),
+                    "--output" => output_path = Some(value(&mut it)),
                     _ => usage(),
                 }
             }
@@ -332,55 +304,14 @@ fn main() {
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--addr" => addr = it.next().cloned().unwrap_or_else(|| usage()),
-                    "--shards" => {
-                        shards = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--data-dir" => data_dir = Some(it.next().cloned().unwrap_or_else(|| usage())),
-                    "--fsync-batch" => {
-                        fsync_batch = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .filter(|&n| n > 0)
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--compact-every" => {
-                        compact_every = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .filter(|&n| n > 0)
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--max-inflight" => {
-                        max_inflight = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .filter(|&n| n > 0)
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--tenant-rate" => {
-                        tenant_rate = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .filter(|&r| r > 0.0)
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--defrag-budget" => {
-                        defrag_budget = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .filter(|&n| n > 0)
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
+                    "--addr" => addr = value(&mut it),
+                    "--shards" => shards = positive(&mut it),
+                    "--data-dir" => data_dir = Some(value(&mut it)),
+                    "--fsync-batch" => fsync_batch = Some(positive(&mut it)),
+                    "--compact-every" => compact_every = Some(positive(&mut it)),
+                    "--max-inflight" => max_inflight = Some(positive(&mut it)),
+                    "--tenant-rate" => tenant_rate = Some(positive(&mut it)),
+                    "--defrag-budget" => defrag_budget = Some(positive(&mut it)),
                     _ => usage(),
                 }
             }
@@ -440,17 +371,11 @@ fn main() {
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--output" => output_path = it.next().cloned(),
-                    "--addr" => addr = it.next().cloned().unwrap_or_else(|| usage()),
-                    "--tenant" => tenant = it.next().cloned(),
+                    "--output" => output_path = Some(value(&mut it)),
+                    "--addr" => addr = value(&mut it),
+                    "--tenant" => tenant = Some(value(&mut it)),
                     "--binary" => framing = busytime_server::Framing::Binary,
-                    "--pipeline" => {
-                        pipeline = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| usage())
-                    }
+                    "--pipeline" => pipeline = positive(&mut it),
                     "--policy" => {
                         policy = it
                             .next()

@@ -1,0 +1,83 @@
+//! Flag values on the `busytime` binary: a missing or unparsable value prints the
+//! usage and exits 2, whatever the subcommand and whatever came before it.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+/// A fresh temporary directory holding a small proper-clique instance file.
+fn instance_dir(name: &str) -> (PathBuf, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("busytime-flags-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let instance = dir.join("inst.json");
+    std::fs::write(
+        &instance,
+        r#"{"capacity": 2, "jobs": [[0, 10], [2, 12], [4, 14], [6, 16]]}"#,
+    )
+    .unwrap();
+    (dir, instance)
+}
+
+fn busytime(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_busytime"))
+        .args(args)
+        .output()
+        .unwrap()
+}
+
+fn assert_usage(output: &Output) {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.starts_with("usage:"), "stderr: {stderr}");
+}
+
+#[test]
+fn unparsable_budget_is_a_usage_error() {
+    let (dir, inst) = instance_dir("budget");
+    assert_usage(&busytime(&[
+        "throughput",
+        inst.to_str().unwrap(),
+        "--budget",
+        "abc",
+    ]));
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn a_later_malformed_value_is_not_discarded() {
+    let (dir, inst) = instance_dir("repeat");
+    let inst = inst.to_str().unwrap();
+    assert_usage(&busytime(&[
+        "throughput",
+        inst,
+        "--budget",
+        "50",
+        "--budget",
+        "abc",
+    ]));
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn missing_output_path_is_a_usage_error() {
+    let (dir, inst) = instance_dir("output");
+    assert_usage(&busytime(&["solve", inst.to_str().unwrap(), "--output"]));
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn valid_flags_solve_and_write_the_output() {
+    let (dir, inst) = instance_dir("valid");
+    let out = dir.join("schedule.json");
+    let output = busytime(&[
+        "throughput",
+        inst.to_str().unwrap(),
+        "--budget",
+        "50",
+        "--output",
+        out.to_str().unwrap(),
+    ]);
+    assert_eq!(output.status.code(), Some(0), "{output:?}");
+    let written = std::fs::read_to_string(&out).unwrap();
+    assert!(written.contains("\"algorithm\""), "{written}");
+    std::fs::remove_dir_all(dir).unwrap();
+}

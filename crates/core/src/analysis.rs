@@ -80,14 +80,14 @@ pub fn ratio_vs_reference(measured: Duration, reference: Duration) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minbusy;
+    use crate::Solver;
 
     #[test]
     fn summary_of_an_exact_solution() {
         let inst = Instance::from_ticks(&[(0, 10), (2, 12), (4, 14), (6, 16)], 2);
-        let (schedule, algo) = minbusy::solve_auto(&inst);
-        assert!(algo.is_exact());
-        let summary = ScheduleSummary::new(&inst, &schedule);
+        let solution = Solver::new().solve_min_busy(&inst).unwrap();
+        assert!(solution.is_exact());
+        let summary = ScheduleSummary::new(&inst, &solution.schedule);
         assert_eq!(summary.jobs, 4);
         assert_eq!(summary.scheduled, 4);
         assert!(summary.ratio_vs_lower_bound >= 1.0);

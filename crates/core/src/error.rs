@@ -34,12 +34,12 @@ pub enum Error {
         /// Capacity of the instance.
         actual: usize,
     },
-    /// The candidate-set family of the set-cover algorithm (Lemma 3.2) would exceed the
-    /// configured size limit; the algorithm is only meant for fixed small `g`.
+    /// The candidate-set family of the set-cover algorithm (Lemma 3.2) would exceed its
+    /// size limit; the algorithm is only meant for fixed small `g`.
     SetFamilyTooLarge {
         /// Number of candidate sets that would have to be enumerated.
         required: usize,
-        /// Configured limit.
+        /// The limit it exceeds.
         limit: usize,
     },
     /// A schedule assigns more than `g` simultaneous jobs to one machine.

@@ -43,7 +43,7 @@
 //! assert!(budgeted.objective.cost() <= Duration::new(12));
 //! assert!(!budgeted.trace.is_empty());
 //!
-//! // Policies: force or forbid algorithms, require exactness, disable fallbacks.
+//! // Policies: force an algorithm, require exactness, budget the exact backends.
 //! let exact_only = Solver::builder().require_exact(true).build();
 //! assert!(exact_only.policy().require_exact);
 //! ```

@@ -10,9 +10,10 @@
 //! | [`minbusy_via_maxthroughput`] | any | — | Proposition 2.2 |
 //! | [`maxthroughput_via_minbusy`] | any | — | Proposition 2.3 |
 //! | [`weighted_throughput_proper_clique`] | proper clique | optimal (Pareto DP) | Section 5 extension (weighted throughput) |
+//! | [`greedy_fallback`] | any | — | best-fit heuristic outside the paper's classes |
 //!
-//! [`solve_auto`] classifies the instance and dispatches to the strongest applicable
-//! algorithm.
+//! Choosing among them is [`crate::Solver`]'s job: it classifies the instance once and
+//! dispatches to the strongest applicable algorithm, recording every decision.
 
 mod clique_approx;
 mod consecutive_dp;
@@ -34,60 +35,6 @@ use busytime_interval::Duration;
 
 use crate::instance::Instance;
 use crate::schedule::{Schedule, ThroughputResult};
-
-/// Which MaxThroughput algorithm [`solve_auto`] selected for an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MaxThroughputAlgorithm {
-    /// Proposition 4.1 (optimal, one-sided clique).
-    OneSided,
-    /// Theorem 4.2 (optimal, proper clique).
-    ProperCliqueDp,
-    /// Theorem 4.1 (4-approximation, clique).
-    CliqueApprox,
-    /// Greedy fallback for instances outside the classes analysed by the paper (no
-    /// guarantee; provided so that the API is total).
-    GreedyFallback,
-}
-
-impl MaxThroughputAlgorithm {
-    /// `true` when the algorithm is optimal on its instance class.
-    pub fn is_exact(self) -> bool {
-        matches!(
-            self,
-            MaxThroughputAlgorithm::OneSided | MaxThroughputAlgorithm::ProperCliqueDp
-        )
-    }
-}
-
-/// Classify the instance and run the strongest applicable MaxThroughput algorithm.
-///
-/// Selection order: one-sided clique → proper clique DP → clique 4-approximation →
-/// greedy fallback (shortest jobs first, each placed best-fit where it adds the least
-/// busy time, skipping jobs that would exceed the budget).
-pub fn solve_auto(
-    instance: &Instance,
-    budget: Duration,
-) -> (ThroughputResult, MaxThroughputAlgorithm) {
-    if instance.is_one_sided() {
-        if let Ok(r) = one_sided_max_throughput(instance, budget) {
-            return (r, MaxThroughputAlgorithm::OneSided);
-        }
-    }
-    if instance.is_proper_clique() {
-        if let Ok(r) = most_throughput_consecutive_fast(instance, budget) {
-            return (r, MaxThroughputAlgorithm::ProperCliqueDp);
-        }
-    }
-    if instance.is_clique() {
-        if let Ok(r) = clique_max_throughput(instance, budget) {
-            return (r, MaxThroughputAlgorithm::CliqueApprox);
-        }
-    }
-    (
-        greedy_fallback(instance, budget),
-        MaxThroughputAlgorithm::GreedyFallback,
-    )
-}
 
 /// Heuristic for instances outside the paper's analysed classes: consider jobs shortest
 /// first and place each **best-fit** — on the machine thread where it causes the smallest
@@ -169,49 +116,54 @@ pub fn greedy_fallback_scan(instance: &Instance, budget: Duration) -> Throughput
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Algorithm, ProblemKind, Solver};
 
-    #[test]
-    fn auto_dispatch_selects_expected_algorithms() {
-        let one_sided = Instance::from_ticks(&[(0, 5), (0, 9), (0, 2)], 2);
-        assert_eq!(
-            solve_auto(&one_sided, Duration::new(10)).1,
-            MaxThroughputAlgorithm::OneSided
-        );
-
-        let proper_clique = Instance::from_ticks(&[(0, 10), (2, 12), (4, 14)], 2);
-        assert_eq!(
-            solve_auto(&proper_clique, Duration::new(10)).1,
-            MaxThroughputAlgorithm::ProperCliqueDp
-        );
-
-        let clique = Instance::from_ticks(&[(0, 20), (5, 10), (6, 18)], 2);
-        assert_eq!(
-            solve_auto(&clique, Duration::new(10)).1,
-            MaxThroughputAlgorithm::CliqueApprox
-        );
-
-        let general = Instance::from_ticks(&[(0, 10), (2, 5), (8, 20), (15, 18)], 2);
-        assert_eq!(
-            solve_auto(&general, Duration::new(10)).1,
-            MaxThroughputAlgorithm::GreedyFallback
-        );
-    }
-
-    #[test]
-    fn auto_dispatch_results_respect_budget() {
-        let instances = [
+    /// One instance per MaxThroughput class, in `Algorithm::candidates` order: one-sided
+    /// clique, proper clique, clique, general.
+    fn one_per_class() -> [Instance; 4] {
+        [
             Instance::from_ticks(&[(0, 5), (0, 9), (0, 2)], 2),
             Instance::from_ticks(&[(0, 10), (2, 12), (4, 14)], 2),
             Instance::from_ticks(&[(0, 20), (5, 10), (6, 18)], 2),
             Instance::from_ticks(&[(0, 10), (2, 5), (8, 20), (15, 18)], 2),
-        ];
-        for inst in &instances {
-            for t in [0i64, 3, 7, 12, 25, 100] {
+        ]
+    }
+
+    #[test]
+    fn auto_dispatch_selects_expected_algorithms() {
+        let solver = Solver::new();
+        let candidates = Algorithm::candidates(ProblemKind::MaxThroughput);
+        for (inst, &expected) in one_per_class().iter().zip(candidates) {
+            let solution = solver
+                .solve_max_throughput(inst, Duration::new(10))
+                .unwrap();
+            assert_eq!(solution.algorithm, expected);
+        }
+    }
+
+    #[test]
+    fn auto_dispatch_results_respect_budget() {
+        let solver = Solver::new();
+        for inst in &one_per_class() {
+            for t in [0, 3, 7, 12, 25, 100] {
                 let budget = Duration::new(t);
-                let (r, _) = solve_auto(inst, budget);
-                r.schedule.validate_budgeted(inst, budget).unwrap();
+                let solution = solver.solve_max_throughput(inst, budget).unwrap();
+                solution.schedule.validate_budgeted(inst, budget).unwrap();
+                assert!(solution.objective.cost() <= budget);
             }
         }
+    }
+
+    #[test]
+    fn exactness_flags() {
+        // Proposition 4.1 and Theorem 4.2 are exact, Theorem 4.1 is a 4-approximation,
+        // and the greedy outside the paper's classes proves nothing.
+        assert!(Algorithm::ThroughputOneSided.is_exact());
+        assert!(Algorithm::ThroughputProperCliqueDp.is_exact());
+        assert!(!Algorithm::ThroughputCliqueApprox.is_exact());
+        assert!(!Algorithm::ThroughputGreedy.is_exact());
+        assert_eq!(Algorithm::ThroughputCliqueApprox.guarantee(3), Some(4.0));
+        assert_eq!(Algorithm::ThroughputGreedy.guarantee(3), None);
     }
 
     #[test]
@@ -229,13 +181,5 @@ mod tests {
         let inst = Instance::from_ticks(&[(0, 10), (2, 5)], 2);
         let r = greedy_fallback(&inst, Duration::ZERO);
         assert_eq!(r.throughput, 0);
-    }
-
-    #[test]
-    fn exactness_flags() {
-        assert!(MaxThroughputAlgorithm::OneSided.is_exact());
-        assert!(MaxThroughputAlgorithm::ProperCliqueDp.is_exact());
-        assert!(!MaxThroughputAlgorithm::CliqueApprox.is_exact());
-        assert!(!MaxThroughputAlgorithm::GreedyFallback.is_exact());
     }
 }

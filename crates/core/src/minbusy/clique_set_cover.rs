@@ -15,8 +15,8 @@
 //! paper's accounting `weight(s) = cost(s) − len(J)/g` assumes.
 //!
 //! The candidate family has `Σ_{k≤g} C(n,k)` sets, so the algorithm is intended for small
-//! fixed `g` (the paper notes the ratio stays below 2 for `g ≤ 6`).  A configurable limit
-//! guards against accidental exponential blow-ups.
+//! fixed `g` (the paper notes the ratio stays below 2 for `g ≤ 6`).  A fixed limit,
+//! [`DEFAULT_SET_FAMILY_LIMIT`], guards against accidental exponential blow-ups.
 
 use busytime_graph::{greedy_set_partition, WeightedSet};
 use busytime_interval::{hull, span, Interval};
@@ -35,16 +35,17 @@ pub fn set_cover_guarantee(g: usize) -> f64 {
     (g as f64) * h_g / (h_g + g as f64 - 1.0)
 }
 
-/// Lemma 3.2 approximation algorithm with the default candidate-family limit.
+/// Lemma 3.2 approximation algorithm.
+///
+/// Returns [`Error::NotClique`] on non-clique instances and
+/// [`Error::SetFamilyTooLarge`] when `Σ_{k≤g} C(n,k)` exceeds
+/// [`DEFAULT_SET_FAMILY_LIMIT`].
 pub fn clique_set_cover(instance: &Instance) -> Result<Schedule, Error> {
     clique_set_cover_with_limit(instance, DEFAULT_SET_FAMILY_LIMIT)
 }
 
-/// Lemma 3.2 approximation algorithm with an explicit candidate-family limit.
-///
-/// Returns [`Error::NotClique`] on non-clique instances and
-/// [`Error::SetFamilyTooLarge`] when `Σ_{k≤g} C(n,k)` exceeds `limit`.
-pub fn clique_set_cover_with_limit(instance: &Instance, limit: usize) -> Result<Schedule, Error> {
+/// [`clique_set_cover`] with an explicit candidate-family limit.
+fn clique_set_cover_with_limit(instance: &Instance, limit: usize) -> Result<Schedule, Error> {
     if !instance.is_clique() {
         return Err(Error::NotClique);
     }

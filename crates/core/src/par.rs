@@ -120,7 +120,7 @@ impl ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{maxthroughput, minbusy, Algorithm, Duration, Instance, Problem, Solver};
+    use crate::{Duration, Instance, Problem, Solver};
 
     fn instances() -> Vec<Instance> {
         vec![
@@ -196,12 +196,15 @@ mod tests {
     #[test]
     fn batch_minbusy_matches_sequential() {
         let problems: Vec<Problem> = instances().into_iter().map(Problem::min_busy).collect();
-        for (problem, result) in problems.iter().zip(Solver::new().solve_batch(&problems)) {
-            let (solution, inst) = (result.unwrap(), problem.instance());
-            let (schedule, algorithm) = minbusy::solve_auto(inst);
-            assert_eq!(solution.algorithm, Algorithm::from(algorithm));
-            assert_eq!(solution.objective.cost(), schedule.cost(inst));
-            solution.schedule.validate_complete(inst).unwrap();
+        let solver = Solver::new();
+        for (problem, result) in problems.iter().zip(solver.solve_batch(&problems)) {
+            let (batched, sequential) = (result.unwrap(), solver.solve(problem).unwrap());
+            assert_eq!(batched.algorithm, sequential.algorithm);
+            assert_eq!(batched.schedule, sequential.schedule);
+            batched
+                .schedule
+                .validate_complete(problem.instance())
+                .unwrap();
         }
     }
 
@@ -212,11 +215,15 @@ mod tests {
             .into_iter()
             .map(|inst| Problem::max_throughput(inst, budget))
             .collect();
-        for (problem, result) in problems.iter().zip(Solver::new().solve_batch(&problems)) {
-            let (solution, inst) = (result.unwrap(), problem.instance());
-            solution.schedule.validate_budgeted(inst, budget).unwrap();
-            let algorithm = maxthroughput::solve_auto(inst, budget).1;
-            assert_eq!(solution.algorithm, Algorithm::from(algorithm));
+        let solver = Solver::new();
+        for (problem, result) in problems.iter().zip(solver.solve_batch(&problems)) {
+            let (batched, sequential) = (result.unwrap(), solver.solve(problem).unwrap());
+            assert_eq!(batched.algorithm, sequential.algorithm);
+            assert_eq!(batched.schedule, sequential.schedule);
+            batched
+                .schedule
+                .validate_budgeted(problem.instance(), budget)
+                .unwrap();
         }
     }
 }

@@ -2,16 +2,16 @@
 //! crate.
 //!
 //! The individual algorithm functions in [`crate::minbusy`] and [`crate::maxthroughput`]
-//! remain available (they are this module's internals), but downstream callers — the
-//! CLI, the experiment harness, the examples and any future service front-end — go
-//! through three types:
+//! remain available (they are this module's internals), but choosing among them happens
+//! here and nowhere else: downstream callers — the CLI, the experiment harness, the
+//! examples and any future service front-end — go through three types:
 //!
 //! * [`Problem`] — what to solve: [`Problem::MinBusy`], [`Problem::MaxThroughput`] or
 //!   [`Problem::WeightedThroughput`], each owning its [`Instance`] (plus conversion
 //!   hooks from the [`crate::demand`] and [`crate::twodim`] models);
 //! * [`Solver`] — how to solve it: built with [`SolverBuilder`], carrying a
-//!   [`SolvePolicy`] that can force or forbid algorithms, demand exact solutions, bound
-//!   the set-cover candidate family and switch the unconditional fallbacks off;
+//!   [`SolvePolicy`] that can force an algorithm, demand exact solutions and budget the
+//!   exponential exact backends;
 //! * [`Solution`] — the full answer: schedule, objective value, the [`Algorithm`] that
 //!   produced it, its proven guarantee, the Observation 2.1 bounds of the instance, and
 //!   a [`DispatchAttempt`] trace recording every algorithm that was considered and why
@@ -45,8 +45,8 @@ use crate::bounds;
 use crate::demand::DemandInstance;
 use crate::error::Error;
 use crate::instance::Instance;
-use crate::maxthroughput::{self, MaxThroughputAlgorithm};
-use crate::minbusy::{self, MinBusyAlgorithm, DEFAULT_SET_FAMILY_LIMIT};
+use crate::maxthroughput;
+use crate::minbusy;
 use crate::schedule::Schedule;
 use crate::twodim::Instance2d;
 
@@ -278,12 +278,6 @@ impl Algorithm {
         matches!(self, Algorithm::ExactSubsetDp | Algorithm::ExactBnB)
     }
 
-    /// `true` for the unconditional catch-all algorithms that
-    /// [`SolverBuilder::allow_fallback`] switches off.
-    pub fn is_fallback(self) -> bool {
-        matches!(self, Algorithm::FirstFit | Algorithm::ThroughputGreedy)
-    }
-
     /// The proven approximation guarantee on the algorithm's own instance class for
     /// capacity `g`, or `None` when the paper proves none (the greedy fallback).
     pub fn guarantee(self, g: usize) -> Option<f64> {
@@ -318,31 +312,6 @@ impl Algorithm {
             | Algorithm::ThroughputGreedy
             | Algorithm::ExactSubsetDp
             | Algorithm::ExactBnB => "any",
-        }
-    }
-
-    /// The equivalent [`MinBusyAlgorithm`], when this is a MinBusy algorithm.
-    pub fn as_minbusy(self) -> Option<MinBusyAlgorithm> {
-        match self {
-            Algorithm::OneSided => Some(MinBusyAlgorithm::OneSided),
-            Algorithm::ProperCliqueDp => Some(MinBusyAlgorithm::ProperCliqueDp),
-            Algorithm::CliqueMatching => Some(MinBusyAlgorithm::CliqueMatching),
-            Algorithm::CliqueSetCover => Some(MinBusyAlgorithm::CliqueSetCover),
-            Algorithm::BestCut => Some(MinBusyAlgorithm::BestCut),
-            Algorithm::FirstFit => Some(MinBusyAlgorithm::FirstFit),
-            _ => None,
-        }
-    }
-
-    /// The equivalent [`MaxThroughputAlgorithm`], when this is a MaxThroughput
-    /// algorithm.
-    pub fn as_maxthroughput(self) -> Option<MaxThroughputAlgorithm> {
-        match self {
-            Algorithm::ThroughputOneSided => Some(MaxThroughputAlgorithm::OneSided),
-            Algorithm::ThroughputProperCliqueDp => Some(MaxThroughputAlgorithm::ProperCliqueDp),
-            Algorithm::ThroughputCliqueApprox => Some(MaxThroughputAlgorithm::CliqueApprox),
-            Algorithm::ThroughputGreedy => Some(MaxThroughputAlgorithm::GreedyFallback),
-            _ => None,
         }
     }
 
@@ -388,30 +357,6 @@ impl Algorithm {
             Algorithm::WeightedParetoDp => "weighted-pareto-dp",
             Algorithm::ExactSubsetDp => "exact-subset-dp",
             Algorithm::ExactBnB => "exact-bnb",
-        }
-    }
-}
-
-impl From<MinBusyAlgorithm> for Algorithm {
-    fn from(a: MinBusyAlgorithm) -> Self {
-        match a {
-            MinBusyAlgorithm::OneSided => Algorithm::OneSided,
-            MinBusyAlgorithm::ProperCliqueDp => Algorithm::ProperCliqueDp,
-            MinBusyAlgorithm::CliqueMatching => Algorithm::CliqueMatching,
-            MinBusyAlgorithm::CliqueSetCover => Algorithm::CliqueSetCover,
-            MinBusyAlgorithm::BestCut => Algorithm::BestCut,
-            MinBusyAlgorithm::FirstFit => Algorithm::FirstFit,
-        }
-    }
-}
-
-impl From<MaxThroughputAlgorithm> for Algorithm {
-    fn from(a: MaxThroughputAlgorithm) -> Self {
-        match a {
-            MaxThroughputAlgorithm::OneSided => Algorithm::ThroughputOneSided,
-            MaxThroughputAlgorithm::ProperCliqueDp => Algorithm::ThroughputProperCliqueDp,
-            MaxThroughputAlgorithm::CliqueApprox => Algorithm::ThroughputCliqueApprox,
-            MaxThroughputAlgorithm::GreedyFallback => Algorithm::ThroughputGreedy,
         }
     }
 }
@@ -523,33 +468,14 @@ pub trait ExactOracle: Send + Sync {
 }
 
 /// The dispatch policy a [`Solver`] applies; built with [`SolverBuilder`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolvePolicy {
     /// Run exactly this algorithm instead of auto-dispatching.
     pub force: Option<Algorithm>,
-    /// Algorithms the dispatcher must never run.
-    pub forbidden: Vec<Algorithm>,
     /// Only accept algorithms that are optimal on their instance class.
     pub require_exact: bool,
-    /// Candidate-family limit for the set-cover algorithm (Lemma 3.2).
-    pub set_family_limit: usize,
-    /// Whether the unconditional fallbacks (FirstFit / best-fit greedy) may run.
-    pub allow_fallback: bool,
     /// Node/time budget for the exponential exact backends (see [`ExactOracle`]).
     pub exact_budget: ExactBudget,
-}
-
-impl Default for SolvePolicy {
-    fn default() -> Self {
-        SolvePolicy {
-            force: None,
-            forbidden: Vec::new(),
-            require_exact: false,
-            set_family_limit: DEFAULT_SET_FAMILY_LIMIT,
-            allow_fallback: true,
-            exact_budget: ExactBudget::default(),
-        }
-    }
 }
 
 /// Builder for a [`Solver`].
@@ -569,7 +495,7 @@ impl fmt::Debug for SolverBuilder {
 }
 
 impl SolverBuilder {
-    /// Start from the default policy (auto-dispatch, fallbacks on).
+    /// Start from the default policy (auto-dispatch, approximations allowed).
     pub fn new() -> Self {
         SolverBuilder::default()
     }
@@ -581,30 +507,10 @@ impl SolverBuilder {
         self
     }
 
-    /// Never run `algorithm` (may be called repeatedly).
-    pub fn forbid_algorithm(mut self, algorithm: Algorithm) -> Self {
-        if !self.policy.forbidden.contains(&algorithm) {
-            self.policy.forbidden.push(algorithm);
-        }
-        self
-    }
-
     /// Only accept provably optimal algorithms; instances outside every exact class
     /// make [`Solver::solve`] return [`SolveError::Exhausted`].
     pub fn require_exact(mut self, yes: bool) -> Self {
         self.policy.require_exact = yes;
-        self
-    }
-
-    /// Cap the candidate-set family the Lemma 3.2 set-cover algorithm may enumerate.
-    pub fn set_family_limit(mut self, limit: usize) -> Self {
-        self.policy.set_family_limit = limit;
-        self
-    }
-
-    /// Allow (default) or disallow the unconditional fallback algorithms.
-    pub fn allow_fallback(mut self, yes: bool) -> Self {
-        self.policy.allow_fallback = yes;
         self
     }
 
@@ -650,7 +556,8 @@ impl fmt::Debug for Solver {
 }
 
 impl Solver {
-    /// A solver with the default policy (equivalent to the old `solve_auto` dispatch).
+    /// A solver with the default policy: auto-dispatch to the strongest applicable
+    /// algorithm, no exact oracle.
     pub fn new() -> Self {
         Solver::default()
     }
@@ -687,19 +594,8 @@ impl Solver {
         let class = instance.classification();
         let mut trace = Vec::new();
         for &algorithm in Algorithm::candidates(kind) {
-            if self.policy.forbidden.contains(&algorithm) {
-                trace.push(DispatchAttempt::skipped(algorithm, SkipReason::Forbidden));
-                continue;
-            }
             if self.policy.require_exact && !algorithm.is_exact() {
                 trace.push(DispatchAttempt::skipped(algorithm, SkipReason::NotExact));
-                continue;
-            }
-            if !self.policy.allow_fallback && algorithm.is_fallback() {
-                trace.push(DispatchAttempt::skipped(
-                    algorithm,
-                    SkipReason::FallbackDisabled,
-                ));
                 continue;
             }
             if let Some(reason) = applicability_gap(algorithm, &class, instance) {
@@ -727,7 +623,7 @@ impl Solver {
     }
 
     /// Run the exact oracle after the polynomial candidates exhausted.  `None` means
-    /// nothing ran (no oracle, forbidden backend, or backend error) — the trace
+    /// nothing ran (no oracle, or the backend refused the instance) — the trace
     /// records why and the caller falls through to [`SolveError::Exhausted`].
     fn try_exact_oracle(
         &self,
@@ -760,33 +656,10 @@ impl Solver {
             ),
         };
         trace.push(DispatchAttempt::skipped(other, routing));
-        if self.policy.forbidden.contains(&chosen) {
-            trace.push(DispatchAttempt::skipped(chosen, SkipReason::Forbidden));
-            return None;
-        }
         match oracle.solve_min_busy(instance, &self.policy.exact_budget, backend) {
-            Ok(ExactOutcome::Optimal {
-                schedule,
-                cost,
-                nodes,
-            }) => {
-                trace.push(DispatchAttempt::selected(chosen));
-                let trace = std::mem::take(trace);
-                let solution =
-                    self.finish(chosen, schedule, Objective::BusyTime(cost), instance, trace);
-                Some(Ok(Solution { nodes, ..solution }))
+            Ok(outcome) => {
+                Some(self.finish_exact(chosen, outcome, instance, std::mem::take(trace)))
             }
-            Ok(ExactOutcome::Exhausted {
-                lower,
-                upper,
-                nodes,
-                ..
-            }) => Some(Err(SolveError::BudgetExhausted {
-                algorithm: chosen,
-                lower,
-                upper,
-                nodes,
-            })),
             Err(error) => {
                 trace.push(DispatchAttempt::failed(chosen, error));
                 None
@@ -803,38 +676,6 @@ impl Solver {
     /// to calling [`Solver::solve`] in a loop.
     pub fn solve_batch(&self, problems: &[Problem]) -> Vec<Result<Solution, SolveError>> {
         crate::par::ThreadPool::with_default_parallelism().map(problems, |p| self.solve(p))
-    }
-
-    /// Replay an online event [`crate::online::Trace`] under `policy`, returning the
-    /// per-event cost trajectory and the final live schedule.
-    ///
-    /// Online requests bypass the offline dispatch machinery — the paper analyses no
-    /// online algorithm, so there is nothing to classify or force; the policy *is* the
-    /// algorithm.  The dispatch-policy knobs of [`SolvePolicy`] (force / forbid /
-    /// require-exact) therefore do not apply here.
-    ///
-    /// ```
-    /// use busytime::online::{Event, OnlinePolicy, Trace};
-    /// use busytime::{Interval, Solver};
-    ///
-    /// let trace = Trace::new(
-    ///     2,
-    ///     vec![
-    ///         Event::arrival(1, Interval::from_ticks(0, 10)),
-    ///         Event::arrival(2, Interval::from_ticks(4, 12)),
-    ///         Event::departure(1),
-    ///     ],
-    /// );
-    /// let run = Solver::new().solve_online(&trace, OnlinePolicy::FirstFit).unwrap();
-    /// assert_eq!(run.trajectory.len(), 3);
-    /// assert_eq!(run.final_cost().ticks(), 8);
-    /// ```
-    pub fn solve_online(
-        &self,
-        trace: &crate::online::Trace,
-        policy: crate::online::OnlinePolicy,
-    ) -> Result<crate::online::OnlineRun, crate::online::OnlineError> {
-        crate::online::OnlineScheduler::run(trace, policy)
     }
 
     /// Convenience: solve MinBusy for `instance` without building a [`Problem`].
@@ -866,17 +707,27 @@ impl Solver {
                 kind,
             });
         }
-        if self.policy.forbidden.contains(&forced) {
-            return Err(SolveError::ForcedForbidden { algorithm: forced });
-        }
         if self.policy.require_exact && !forced.is_exact() {
             return Err(SolveError::ForcedInexact { algorithm: forced });
         }
-        if !self.policy.allow_fallback && forced.is_fallback() {
-            return Err(SolveError::ForcedFallbackDisabled { algorithm: forced });
-        }
         if forced.is_exact_oracle() {
-            return self.solve_forced_exact(forced, instance);
+            // Forcing bypasses the DP/B&B routing: the caller names the backend, and
+            // the oracle reports (for instance) a DP forced above its ceiling as a
+            // typed error.
+            let Some(oracle) = &self.oracle else {
+                return Err(SolveError::NoExactOracle { algorithm: forced });
+            };
+            let backend = match forced {
+                Algorithm::ExactSubsetDp => ExactBackend::SubsetDp,
+                _ => ExactBackend::BranchAndBound,
+            };
+            return match oracle.solve_min_busy(instance, &self.policy.exact_budget, backend) {
+                Ok(outcome) => self.finish_exact(forced, outcome, instance, Vec::new()),
+                Err(error) => Err(SolveError::ForcedFailed {
+                    algorithm: forced,
+                    error,
+                }),
+            };
         }
         match self.run(forced, problem) {
             Ok((schedule, objective)) => {
@@ -890,46 +741,41 @@ impl Solver {
         }
     }
 
-    /// Run a forced exponential exact backend through the installed oracle.  Forcing
-    /// here bypasses the DP/B&B routing — the caller names the backend, and the
-    /// oracle reports (for instance) a DP forced above its ceiling as a typed error.
-    fn solve_forced_exact(
+    /// Turn what an exact backend proved into the answer: an optimal solution whose
+    /// trace ends with the backend's selection, or the budget bracket.
+    fn finish_exact(
         &self,
-        forced: Algorithm,
+        algorithm: Algorithm,
+        outcome: ExactOutcome,
         instance: &Instance,
+        mut trace: Vec<DispatchAttempt>,
     ) -> Result<Solution, SolveError> {
-        let Some(oracle) = &self.oracle else {
-            return Err(SolveError::NoExactOracle { algorithm: forced });
-        };
-        let backend = match forced {
-            Algorithm::ExactSubsetDp => ExactBackend::SubsetDp,
-            _ => ExactBackend::BranchAndBound,
-        };
-        match oracle.solve_min_busy(instance, &self.policy.exact_budget, backend) {
-            Ok(ExactOutcome::Optimal {
+        match outcome {
+            ExactOutcome::Optimal {
                 schedule,
                 cost,
                 nodes,
-            }) => {
-                let trace = vec![DispatchAttempt::selected(forced)];
-                let solution =
-                    self.finish(forced, schedule, Objective::BusyTime(cost), instance, trace);
+            } => {
+                trace.push(DispatchAttempt::selected(algorithm));
+                let solution = self.finish(
+                    algorithm,
+                    schedule,
+                    Objective::BusyTime(cost),
+                    instance,
+                    trace,
+                );
                 Ok(Solution { nodes, ..solution })
             }
-            Ok(ExactOutcome::Exhausted {
+            ExactOutcome::Exhausted {
                 lower,
                 upper,
                 nodes,
                 ..
-            }) => Err(SolveError::BudgetExhausted {
-                algorithm: forced,
+            } => Err(SolveError::BudgetExhausted {
+                algorithm,
                 lower,
                 upper,
                 nodes,
-            }),
-            Err(error) => Err(SolveError::ForcedFailed {
-                algorithm: forced,
-                error,
             }),
         }
     }
@@ -949,8 +795,7 @@ impl Solver {
                 minbusy::clique_matching(instance).map(|s| pair_min_busy(s, instance))
             }
             (Algorithm::CliqueSetCover, Problem::MinBusy { .. }) => {
-                minbusy::clique_set_cover_with_limit(instance, self.policy.set_family_limit)
-                    .map(|s| pair_min_busy(s, instance))
+                minbusy::clique_set_cover(instance).map(|s| pair_min_busy(s, instance))
             }
             (Algorithm::BestCut, Problem::MinBusy { .. }) => {
                 minbusy::best_cut(instance).map(|s| pair_min_busy(s, instance))
@@ -1190,12 +1035,8 @@ impl fmt::Display for AttemptOutcome {
 /// Why an algorithm was skipped during dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkipReason {
-    /// The policy forbids the algorithm.
-    Forbidden,
     /// The policy requires exact algorithms and this one is approximate.
     NotExact,
-    /// The policy disables the unconditional fallbacks.
-    FallbackDisabled,
     /// The instance is outside the algorithm's class.
     ClassMismatch {
         /// The class the algorithm requires.
@@ -1219,9 +1060,7 @@ pub enum SkipReason {
 impl fmt::Display for SkipReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SkipReason::Forbidden => write!(f, "forbidden by policy"),
             SkipReason::NotExact => write!(f, "not exact, but the policy requires exactness"),
-            SkipReason::FallbackDisabled => write!(f, "fallbacks disabled by policy"),
             SkipReason::ClassMismatch { required } => {
                 write!(f, "instance is not {required}")
             }
@@ -1274,8 +1113,8 @@ impl Solution {
     }
 }
 
-/// A typed dispatch failure (replaces the silently swallowed errors of the old
-/// per-module `solve_auto` entry points).
+/// A typed dispatch failure: whatever the dispatcher tried is reported, never
+/// silently swallowed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveError {
     /// A forced algorithm solves a different problem kind than the request.
@@ -1285,18 +1124,8 @@ pub enum SolveError {
         /// The kind of the request.
         kind: ProblemKind,
     },
-    /// A forced algorithm is also forbidden by the same policy.
-    ForcedForbidden {
-        /// The conflicting algorithm.
-        algorithm: Algorithm,
-    },
     /// A forced algorithm is approximate but the policy requires exactness.
     ForcedInexact {
-        /// The forced algorithm.
-        algorithm: Algorithm,
-    },
-    /// A forced algorithm is an unconditional fallback but the policy disables them.
-    ForcedFallbackDisabled {
         /// The forced algorithm.
         algorithm: Algorithm,
     },
@@ -1349,19 +1178,9 @@ impl fmt::Display for SolveError {
                 "algorithm {algorithm} solves {} problems, not {kind}",
                 algorithm.problem_kind()
             ),
-            SolveError::ForcedForbidden { algorithm } => {
-                write!(
-                    f,
-                    "algorithm {algorithm} is both forced and forbidden by the policy"
-                )
-            }
             SolveError::ForcedInexact { algorithm } => write!(
                 f,
                 "algorithm {algorithm} is approximate but the policy requires exact solutions"
-            ),
-            SolveError::ForcedFallbackDisabled { algorithm } => write!(
-                f,
-                "algorithm {algorithm} is a fallback but the policy disables fallbacks"
             ),
             SolveError::ForcedFailed { algorithm, error } => {
                 write!(f, "forced algorithm {algorithm} failed: {error}")
@@ -1404,6 +1223,7 @@ impl std::error::Error for SolveError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::ThroughputResult;
 
     fn proper_clique() -> Instance {
         Instance::from_ticks(&[(0, 10), (2, 12), (4, 14), (6, 16)], 2)
@@ -1413,31 +1233,81 @@ mod tests {
         Instance::from_ticks(&[(0, 10), (2, 5), (8, 20), (15, 18)], 2)
     }
 
+    /// A MinBusy algorithm called directly, without the facade.
+    type Direct = fn(&Instance) -> Result<Schedule, Error>;
+    /// A MaxThroughput algorithm called directly, without the facade.
+    type DirectBudgeted = fn(&Instance, Duration) -> Result<ThroughputResult, Error>;
+
     #[test]
     fn default_dispatch_matches_solve_auto() {
-        let instances = [
-            Instance::from_ticks(&[(0, 5), (0, 9), (0, 2)], 2),
-            proper_clique(),
-            Instance::from_ticks(&[(0, 20), (5, 10), (6, 18)], 2),
-            Instance::from_ticks(&[(0, 20), (5, 10), (6, 18), (7, 9)], 3),
-            Instance::from_ticks(&[(0, 4), (3, 7), (6, 10), (9, 13)], 2),
-            general(),
-            Instance::from_ticks(&[], 2),
+        // The default policy's automatic dispatch, per instance class: the MinBusy pick
+        // and the MaxThroughput pick, each with the algorithm function it must agree with.
+        let table: [(&str, Instance, Algorithm, Direct, Algorithm, DirectBudgeted); 6] = [
+            (
+                "one-sided clique",
+                Instance::from_ticks(&[(0, 5), (0, 9), (0, 2)], 2),
+                Algorithm::OneSided,
+                minbusy::one_sided_optimal,
+                Algorithm::ThroughputOneSided,
+                maxthroughput::one_sided_max_throughput,
+            ),
+            (
+                "proper clique",
+                proper_clique(),
+                Algorithm::ProperCliqueDp,
+                minbusy::find_best_consecutive,
+                Algorithm::ThroughputProperCliqueDp,
+                maxthroughput::most_throughput_consecutive_fast,
+            ),
+            (
+                "clique, g = 2",
+                Instance::from_ticks(&[(0, 20), (5, 10), (6, 18)], 2),
+                Algorithm::CliqueMatching,
+                minbusy::clique_matching,
+                Algorithm::ThroughputCliqueApprox,
+                maxthroughput::clique_max_throughput,
+            ),
+            (
+                "clique, g = 3",
+                Instance::from_ticks(&[(0, 20), (5, 10), (6, 18), (7, 9)], 3),
+                Algorithm::CliqueSetCover,
+                minbusy::clique_set_cover,
+                Algorithm::ThroughputCliqueApprox,
+                maxthroughput::clique_max_throughput,
+            ),
+            (
+                "proper",
+                Instance::from_ticks(&[(0, 4), (3, 7), (6, 10), (9, 13)], 2),
+                Algorithm::BestCut,
+                minbusy::best_cut,
+                Algorithm::ThroughputGreedy,
+                |inst, budget| Ok(maxthroughput::greedy_fallback(inst, budget)),
+            ),
+            (
+                "general",
+                general(),
+                Algorithm::FirstFit,
+                |inst| Ok(minbusy::first_fit(inst)),
+                Algorithm::ThroughputGreedy,
+                |inst, budget| Ok(maxthroughput::greedy_fallback(inst, budget)),
+            ),
         ];
         let solver = Solver::new();
-        for inst in &instances {
-            let (schedule, algo) = minbusy::solve_auto(inst);
-            let solution = solver.solve_min_busy(inst).unwrap();
-            assert_eq!(solution.algorithm, Algorithm::from(algo));
-            assert_eq!(solution.objective.cost(), schedule.cost(inst));
-            solution.schedule.validate_complete(inst).unwrap();
-            for budget in [0i64, 7, 20, 1_000] {
-                let budget = Duration::new(budget);
-                let (result, talgo) = maxthroughput::solve_auto(inst, budget);
-                let budgeted = solver.solve_max_throughput(inst, budget).unwrap();
-                assert_eq!(budgeted.algorithm, Algorithm::from(talgo));
-                assert_eq!(budgeted.objective.scheduled(), Some(result.throughput));
-                budgeted.schedule.validate_budgeted(inst, budget).unwrap();
+        for (class, inst, algorithm, direct, budgeted_algorithm, budgeted_direct) in table {
+            let solution = solver.solve_min_busy(&inst).unwrap();
+            assert_eq!(solution.algorithm, algorithm, "{class}");
+            assert_eq!(solution.schedule, direct(&inst).unwrap(), "{class}");
+            solution.schedule.validate_complete(&inst).unwrap();
+            for budget in [0, 7, 20, 1_000].map(Duration::new) {
+                let budgeted = solver.solve_max_throughput(&inst, budget).unwrap();
+                let expected = budgeted_direct(&inst, budget).unwrap();
+                assert_eq!(budgeted.algorithm, budgeted_algorithm, "{class}");
+                assert_eq!(
+                    budgeted.schedule, expected.schedule,
+                    "{class}, T = {budget}"
+                );
+                assert_eq!(budgeted.objective.scheduled(), Some(expected.throughput));
+                budgeted.schedule.validate_budgeted(&inst, budget).unwrap();
             }
         }
     }
@@ -1463,17 +1333,21 @@ mod tests {
 
     #[test]
     fn set_cover_failure_is_recorded_not_swallowed() {
-        // A clique (not proper, g = 3) whose candidate family exceeds a tiny limit:
-        // dispatch must record the failure and continue to the fallback.
-        let inst = Instance::from_ticks(&[(0, 20), (5, 10), (6, 18), (7, 9)], 3);
-        let solver = Solver::builder().set_family_limit(2).build();
-        let solution = solver.solve_min_busy(&inst).unwrap();
+        // A 60-job clique (not proper, g = 5) whose candidate family, Σ_{k≤5} C(60, k)
+        // ≈ 6.0M, exceeds the default limit: dispatch must record the failure and
+        // continue to the fallback.
+        let jobs: Vec<(i64, i64)> = (0..60).map(|i| (i, 100 + 37 * i % 61)).collect();
+        let inst = Instance::from_ticks(&jobs, 5);
+        let solution = Solver::new().solve_min_busy(&inst).unwrap();
         assert_eq!(solution.algorithm, Algorithm::FirstFit);
         assert!(solution.trace.iter().any(|a| {
             a.algorithm == Algorithm::CliqueSetCover
                 && matches!(
                     a.outcome,
-                    AttemptOutcome::Failed(Error::SetFamilyTooLarge { .. })
+                    AttemptOutcome::Failed(Error::SetFamilyTooLarge {
+                        limit: minbusy::DEFAULT_SET_FAMILY_LIMIT,
+                        ..
+                    })
                 )
         }));
     }
@@ -1506,22 +1380,6 @@ mod tests {
     }
 
     #[test]
-    fn forbidding_reroutes_dispatch() {
-        let solver = Solver::builder()
-            .forbid_algorithm(Algorithm::ProperCliqueDp)
-            .build();
-        let solution = solver.solve_min_busy(&proper_clique()).unwrap();
-        assert_eq!(solution.algorithm, Algorithm::CliqueMatching);
-        assert!(matches!(
-            solution.trace[1],
-            DispatchAttempt {
-                algorithm: Algorithm::ProperCliqueDp,
-                outcome: AttemptOutcome::Skipped(SkipReason::Forbidden)
-            }
-        ));
-    }
-
-    #[test]
     fn require_exact_rejects_general_instances() {
         let solver = Solver::builder().require_exact(true).build();
         let solution = solver.solve_min_busy(&proper_clique()).unwrap();
@@ -1542,26 +1400,6 @@ mod tests {
             }
             other => panic!("expected Exhausted, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn fallback_off_means_no_first_fit() {
-        let solver = Solver::builder().allow_fallback(false).build();
-        let err = solver.solve_min_busy(&general()).unwrap_err();
-        assert!(matches!(err, SolveError::Exhausted { .. }));
-        let ok = solver.solve_min_busy(&proper_clique()).unwrap();
-        assert_ne!(ok.algorithm, Algorithm::FirstFit);
-        // Forcing a fallback cannot override the same policy's fallback ban.
-        let forced = Solver::builder()
-            .allow_fallback(false)
-            .force_algorithm(Algorithm::FirstFit)
-            .build();
-        assert_eq!(
-            forced.solve_min_busy(&general()).unwrap_err(),
-            SolveError::ForcedFallbackDisabled {
-                algorithm: Algorithm::FirstFit
-            }
-        );
     }
 
     #[test]
@@ -1651,6 +1489,22 @@ mod tests {
             solution.bounds.lower,
             solution.bounds.parallelism.max(solution.bounds.span)
         );
+        // The exact algorithms, each with guarantee 1.
+        let exact: Vec<Algorithm> = Algorithm::all().filter(|a| a.is_exact()).collect();
+        assert_eq!(
+            exact,
+            [
+                Algorithm::OneSided,
+                Algorithm::ProperCliqueDp,
+                Algorithm::CliqueMatching,
+                Algorithm::ThroughputOneSided,
+                Algorithm::ThroughputProperCliqueDp,
+                Algorithm::WeightedParetoDp,
+                Algorithm::ExactSubsetDp,
+                Algorithm::ExactBnB,
+            ]
+        );
+        assert!(exact.iter().all(|a| a.guarantee(3) == Some(1.0)));
     }
 
     #[test]

@@ -11,29 +11,34 @@
 //! The decision uses two `O(1)` facts off the SoA columns:
 //!
 //! * the job count `n`, and
-//! * the hull density `len(J) / hull(J)` — the average coverage depth, which predicts
-//!   how many machines the greedy will open (density / `g` is a lower bound on the
-//!   average machine count) and therefore how much the scan pays per placement.
+//! * the hull density `len(J) / hull(J)` — the average coverage depth.  Density / `g`
+//!   is a lower bound on the average machine count, and on the calibration shapes it
+//!   tracked how many machines the greedy opens and so how much the scan pays per
+//!   placement.
 //!
-//! Dense instances cross over earlier: their scan walks every open machine per job,
-//! while sparse instances keep the scan competitive longer because conflicts are found
-//! after probing a handful of short thread lists.  The constants were calibrated with
-//! `cargo run -p busytime-bench --bin scaling --release` on the shapes recorded in
-//! `BENCH_scaling.json` (sparse and dense proper instances, capacity 10); the
-//! `scaling` binary re-validates them on every run by emitting an
-//! `first_fit_adaptive` row per size, and the CI `scaling-check` job fails if any of
-//! those rows falls below 0.70× of the best of scan and kernel (the binary's
+//! On the dense calibration shape the crossover came earlier: its scan walks every open
+//! machine per job, while the sparse shape keeps the scan competitive longer because
+//! conflicts are found after probing a handful of short thread lists.  The constants
+//! were calibrated with `cargo run -p busytime-bench --bin scaling --release` on the
+//! two shapes recorded in `BENCH_scaling.json` (sparse and dense proper instances,
+//! capacity 10) and on nothing else.  A high hull density does not by itself mean many
+//! machines: general, cloud and optical instances that clear [`DENSE_HULL_DENSITY`]
+//! can open only a handful, and the scan can still beat the kernel on them at 2,000 to
+//! 4,000 jobs.  The `scaling` binary re-validates the constants on every run by
+//! emitting an `first_fit_adaptive` row per size, and the CI `scaling-check` job fails
+//! if any of those rows falls below 0.70× of the best of scan and kernel (the binary's
 //! `ADAPTIVE_PARITY_TOLERANCE = 0.30` band under parity).
 
 use crate::instance::Instance;
 
-/// Above this job count the kernel path wins on every measured shape, whatever the
-/// density.
+/// Above this job count the kernel path won on both calibration shapes (sparse and
+/// dense proper instances, capacity 10), whatever the density.
 pub const FIRST_FIT_KERNEL_MIN_JOBS: usize = 6_000;
 
-/// Dense instances (see [`DENSE_HULL_DENSITY`]) cut over to the kernel this early:
-/// they open machines proportionally to `n`, so the scan's per-job machine walk is
-/// already the dominant cost well before [`FIRST_FIT_KERNEL_MIN_JOBS`].
+/// Dense instances (see [`DENSE_HULL_DENSITY`]) cut over to the kernel this early.  On
+/// the dense proper calibration shape machines open proportionally to `n`, so the
+/// scan's per-job machine walk is already the dominant cost well before
+/// [`FIRST_FIT_KERNEL_MIN_JOBS`]; other dense families need not behave that way.
 pub const FIRST_FIT_KERNEL_MIN_JOBS_DENSE: usize = 2_000;
 
 /// Hull density (average coverage depth) at which an instance counts as *dense*.

@@ -46,9 +46,7 @@ fn drive_trace_over_the_wire_matches_local_simulation() {
         .unwrap();
 
     // The local replay of the same trace (the `simulate` path).
-    let run = busytime::Solver::new()
-        .solve_online(&sample_trace(), OnlinePolicy::FirstFit)
-        .unwrap();
+    let run = busytime::OnlineScheduler::run(&sample_trace(), OnlinePolicy::FirstFit).unwrap();
     let trajectory: Vec<i64> = run.trajectory.iter().map(|d| d.ticks()).collect();
     let local = busytime::report::SimulationReport::from_scheduler(&run.scheduler, trajectory);
     assert_eq!(

@@ -2,24 +2,45 @@
 //!
 //! Two contracts are pinned down on random workloads from `busytime-workload`:
 //!
-//! 1. **Facade ≡ direct dispatch** — under the default policy, `Solver::solve` selects
-//!    the same algorithm and achieves the same objective as the per-module
-//!    `minbusy::solve_auto` / `maxthroughput::solve_auto` entry points it replaces;
+//! 1. **The first applicable candidate wins** — under the default policy,
+//!    `Solver::solve` skips exactly the candidates whose class the instance lacks, stops
+//!    at the first one it has, and answers as forcing that algorithm would;
 //! 2. **`require_exact` ≡ ground truth** — whenever the exact-only policy returns a
 //!    solution on a small instance, its objective equals the `busytime-exact` subset-DP
 //!    optimum (and the solution advertises exactness).
+//!
+//! Forcing the exponential exact backends is pinned case by case at the end.
 
-use busytime::{maxthroughput, minbusy, Algorithm, Duration, Problem, Solver};
+use busytime::{
+    Algorithm, AttemptOutcome, Duration, Error, ExactBudget, Instance, Problem, ProblemKind,
+    SkipReason, SolveError, Solver,
+};
 use busytime_exact::{exact_maxthroughput_value, exact_minbusy_cost};
 use busytime_workload::{
     clique_instance, general_instance, one_sided_instance, proper_clique_instance, proper_instance,
+    seeded_rng,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Whether `inst` lies in the class `algorithm` requires, read off the instance's own
+/// classification.
+fn in_class(inst: &Instance, algorithm: Algorithm) -> bool {
+    let class = inst.classification();
+    match algorithm.required_class() {
+        "one-sided clique" => class.clique && class.one_sided,
+        "proper clique" => class.clique && class.proper,
+        "clique with g = 2" => class.clique && inst.capacity() == 2,
+        "clique" => class.clique,
+        "proper" => class.proper,
+        "any" => true,
+        other => panic!("unknown class {other}"),
+    }
+}
+
 /// A random instance drawn from one of the five 1-D workload families.
-fn random_instance(seed: u64, family: usize, n: usize, g: usize) -> busytime::Instance {
+fn random_instance(seed: u64, family: usize, n: usize, g: usize) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed);
     match family % 5 {
         0 => one_sided_instance(&mut rng, n, g, 40),
@@ -30,10 +51,45 @@ fn random_instance(seed: u64, family: usize, n: usize, g: usize) -> busytime::In
     }
 }
 
+/// Default-policy dispatch of `problem`: each candidate ahead of the selection is
+/// skipped for a class the instance really lacks, the trace ends with the selection,
+/// and the answer equals forcing it.
+fn check_first_applicable_candidate(problem: &Problem) -> Result<(), TestCaseError> {
+    let inst = problem.instance();
+    let solution = Solver::new().solve(problem).unwrap();
+    let (selected, skipped) = solution.trace.split_last().unwrap();
+    prop_assert_eq!(selected.algorithm, solution.algorithm);
+    prop_assert_eq!(&selected.outcome, &AttemptOutcome::Selected);
+    prop_assert!(in_class(inst, solution.algorithm));
+    let candidates = Algorithm::candidates(problem.kind());
+    for (attempt, &candidate) in skipped.iter().zip(candidates) {
+        prop_assert_eq!(attempt.algorithm, candidate);
+        prop_assert_eq!(
+            &attempt.outcome,
+            &AttemptOutcome::Skipped(SkipReason::ClassMismatch {
+                required: candidate.required_class()
+            })
+        );
+        prop_assert!(!in_class(inst, candidate), "{} skipped in class", candidate);
+    }
+    let forced = Solver::builder()
+        .force_algorithm(solution.algorithm)
+        .build()
+        .solve(problem)
+        .unwrap();
+    prop_assert_eq!(&forced.schedule, &solution.schedule);
+    prop_assert_eq!(forced.objective, solution.objective);
+    match problem.budget() {
+        None => solution.schedule.validate_complete(inst).unwrap(),
+        Some(budget) => solution.schedule.validate_budgeted(inst, budget).unwrap(),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Default-policy facade dispatch agrees with `minbusy::solve_auto` on every family.
+    /// The facade's automatic MinBusy dispatch selects the first applicable candidate.
     #[test]
     fn facade_matches_minbusy_solve_auto(
         seed in 0u64..10_000,
@@ -42,16 +98,11 @@ proptest! {
         g in 1usize..5,
     ) {
         let inst = random_instance(seed, family, n, g);
-        let (schedule, algo) = minbusy::solve_auto(&inst);
-        let solution = Solver::new().solve(&Problem::min_busy(inst.clone())).unwrap();
-        prop_assert_eq!(solution.algorithm, Algorithm::from(algo));
-        prop_assert_eq!(solution.objective.cost(), schedule.cost(&inst));
-        solution.schedule.validate_complete(&inst).unwrap();
-        // The last trace entry is the selection; nothing is silently swallowed.
-        prop_assert_eq!(solution.trace.last().unwrap().algorithm, solution.algorithm);
+        check_first_applicable_candidate(&Problem::min_busy(inst))?;
     }
 
-    /// Default-policy facade dispatch agrees with `maxthroughput::solve_auto`.
+    /// The facade's automatic MaxThroughput dispatch selects the first applicable
+    /// candidate.
     #[test]
     fn facade_matches_maxthroughput_solve_auto(
         seed in 0u64..10_000,
@@ -62,14 +113,7 @@ proptest! {
     ) {
         let inst = random_instance(seed, family, n, g);
         let budget = Duration::new(inst.total_len().ticks() / frac);
-        let (result, algo) = maxthroughput::solve_auto(&inst, budget);
-        let solution = Solver::new()
-            .solve(&Problem::max_throughput(inst.clone(), budget))
-            .unwrap();
-        prop_assert_eq!(solution.algorithm, Algorithm::from(algo));
-        prop_assert_eq!(solution.objective.scheduled(), Some(result.throughput));
-        prop_assert_eq!(solution.objective.cost(), result.cost);
-        solution.schedule.validate_budgeted(&inst, budget).unwrap();
+        check_first_applicable_candidate(&Problem::max_throughput(inst, budget))?;
     }
 
     /// Exact-only MinBusy solutions match the `busytime-exact` subset-DP optimum.
@@ -152,4 +196,81 @@ proptest! {
             prop_assert_eq!(batched.trace, sequential.trace);
         }
     }
+}
+
+/// Forcing an exponential exact backend runs exactly that backend through the
+/// installed oracle, and every way it can refuse is a typed error.
+#[test]
+fn forced_exact_backends_through_the_facade() {
+    let dp = Solver::builder()
+        .force_algorithm(Algorithm::ExactSubsetDp)
+        .exact_oracle(busytime_exact::oracle())
+        .build();
+    let small = general_instance(&mut seeded_rng(7), 12, 3, 60, 15);
+
+    // No oracle installed: nothing can run the backend.
+    let bare = Solver::builder()
+        .force_algorithm(Algorithm::ExactSubsetDp)
+        .build();
+    assert_eq!(
+        bare.solve_min_busy(&small).unwrap_err(),
+        SolveError::NoExactOracle {
+            algorithm: Algorithm::ExactSubsetDp
+        }
+    );
+
+    // The DP proves optimality without a search tree.
+    let solved = dp.solve_min_busy(&small).unwrap();
+    assert_eq!(solved.algorithm, Algorithm::ExactSubsetDp);
+    assert_eq!(solved.nodes, 0);
+    assert_eq!(solved.objective.cost(), exact_minbusy_cost(&small));
+    solved.schedule.validate_complete(&small).unwrap();
+
+    // Forcing bypasses the routing, so the DP above its ceiling is the oracle's
+    // typed refusal.
+    let large = general_instance(&mut seeded_rng(7), 23, 3, 60, 15);
+    assert_eq!(
+        dp.solve_min_busy(&large).unwrap_err(),
+        SolveError::ForcedFailed {
+            algorithm: Algorithm::ExactSubsetDp,
+            error: Error::TooManyJobs {
+                jobs: 23,
+                limit: 22
+            },
+        }
+    );
+
+    // A one-node budget cannot close this search; the bracket is still sound.
+    let bnb = Solver::builder()
+        .force_algorithm(Algorithm::ExactBnB)
+        .exact_oracle(busytime_exact::oracle())
+        .exact_budget(ExactBudget {
+            max_nodes: 1,
+            max_millis: None,
+        })
+        .build();
+    let bracketed = proper_instance(&mut seeded_rng(1), 30, 4, 40, 8);
+    match bnb.solve_min_busy(&bracketed).unwrap_err() {
+        SolveError::BudgetExhausted {
+            algorithm,
+            lower,
+            upper,
+            nodes,
+        } => {
+            assert_eq!(algorithm, Algorithm::ExactBnB);
+            assert!(lower <= upper);
+            assert_eq!((lower.ticks(), upper.ticks(), nodes), (1320, 1354, 1));
+        }
+        other => panic!("expected BudgetExhausted, got {other:?}"),
+    }
+
+    // The exact backends solve MinBusy only.
+    let budgeted = Problem::max_throughput(small, Duration::new(30));
+    assert!(matches!(
+        dp.solve(&budgeted).unwrap_err(),
+        SolveError::ForcedWrongProblem {
+            algorithm: Algorithm::ExactSubsetDp,
+            kind: ProblemKind::MaxThroughput,
+        }
+    ));
 }
