@@ -288,6 +288,13 @@ struct ExactRow {
 }
 
 /// The self-describing output document.
+/// Each row of a report section as one line of JSON.
+fn json_lines<T: Serialize>(rows: &[T]) -> Vec<String> {
+    rows.iter()
+        .map(|row| serde_json::to_string(row).expect("report rows serialize"))
+        .collect()
+}
+
 #[derive(Debug, Serialize)]
 struct Report {
     meta: Meta,
@@ -444,7 +451,7 @@ fn main() {
             };
 
             // FirstFit placement in the canonical non-increasing length order (off the
-            // instance's cached SoA permutation)…
+            // instance's cached length order)…
             let by_length: Vec<usize> = instance
                 .order_by_length_desc()
                 .iter()
@@ -1250,112 +1257,33 @@ fn main() {
     };
 
     // One row object per line keeps the file diffable across regenerations.
-    let mut text = String::from("{\n");
-    text.push_str(&format!(
-        "  \"meta\": {},\n",
+    let sections = [
+        ("rows", json_lines(&report.rows)),
+        ("online", json_lines(&report.online)),
+        ("defrag", json_lines(&report.defrag)),
+        ("exact", json_lines(&report.exact)),
+        ("batch", json_lines(&report.batch)),
+        ("server", json_lines(&report.server)),
+        ("durability", json_lines(&report.durability)),
+        ("recovery", json_lines(&report.recovery)),
+        ("server_load", json_lines(&report.server_load)),
+        ("resilience", json_lines(&report.resilience)),
+    ];
+    let mut text = format!(
+        "{{\n  \"meta\": {},\n",
         serde_json::to_string(&report.meta).expect("meta serializes")
-    ));
-    text.push_str("  \"rows\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("rows serialize"));
-        text.push_str(if i + 1 < report.rows.len() {
-            ",\n"
+    );
+    for (k, (name, lines)) in sections.iter().enumerate() {
+        text.push_str(&format!("  \"{name}\": [\n"));
+        if !lines.is_empty() {
+            text.push_str(&format!("    {}\n", lines.join(",\n    ")));
+        }
+        text.push_str(if k + 1 < sections.len() {
+            "  ],\n"
         } else {
-            "\n"
+            "  ]\n}\n"
         });
     }
-    text.push_str("  ],\n  \"online\": [\n");
-    for (i, r) in report.online.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("online rows serialize"));
-        text.push_str(if i + 1 < report.online.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"defrag\": [\n");
-    for (i, r) in report.defrag.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("defrag rows serialize"));
-        text.push_str(if i + 1 < report.defrag.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"exact\": [\n");
-    for (i, r) in report.exact.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("exact rows serialize"));
-        text.push_str(if i + 1 < report.exact.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"batch\": [\n");
-    for (i, r) in report.batch.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("batch rows serialize"));
-        text.push_str(if i + 1 < report.batch.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"server\": [\n");
-    for (i, r) in report.server.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("server rows serialize"));
-        text.push_str(if i + 1 < report.server.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"durability\": [\n");
-    for (i, r) in report.durability.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("durability rows serialize"));
-        text.push_str(if i + 1 < report.durability.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"recovery\": [\n");
-    for (i, r) in report.recovery.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("recovery rows serialize"));
-        text.push_str(if i + 1 < report.recovery.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"server_load\": [\n");
-    for (i, r) in report.server_load.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("server_load rows serialize"));
-        text.push_str(if i + 1 < report.server_load.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"resilience\": [\n");
-    for (i, r) in report.resilience.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("resilience rows serialize"));
-        text.push_str(if i + 1 < report.resilience.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ]\n}\n");
 
     let mut file = std::fs::File::create(&output).expect("create output file");
     file.write_all(text.as_bytes()).expect("write output");

@@ -669,32 +669,25 @@ fn fsck_tenant(store: &busytime_durability::Store, name: &str) -> Result<String,
     ))
 }
 
-/// Parse one journal record as a wire request and apply it to the scheduler.
+/// Decode one journal record the way server recovery does and apply it to the
+/// scheduler.
 fn fsck_replay(
     scheduler: &mut busytime::OnlineScheduler,
     name: &str,
     record: &[u8],
 ) -> Result<(), String> {
-    let text = std::str::from_utf8(record).map_err(|e| format!("record is not UTF-8: {e}"))?;
-    let event = match busytime_server::Request::from_json(text)? {
-        busytime_server::Request::Arrive { tenant, id, job } if tenant == name => {
-            let interval = Interval::try_new(Time::new(job.0), Time::new(job.1))
-                .map_err(|_| format!("job window [{}, {}) is empty", job.0, job.1))?;
-            Event::arrival(id, interval)
-        }
-        busytime_server::Request::Depart { tenant, id } if tenant == name => Event::departure(id),
-        // A journaled defrag pass: replay it the way server recovery does —
+    use busytime_server::JournalRecord;
+    match JournalRecord::decode(name, record)? {
+        JournalRecord::Event(event) => scheduler
+            .apply(&event)
+            .map(|_| ())
+            .map_err(|e| e.to_string()),
         // `compact` is deterministic against the replayed placements.
-        busytime_server::Request::Compact { tenant, budget } if tenant == name => {
+        JournalRecord::Compact(budget) => {
             scheduler.compact(budget);
-            return Ok(());
+            Ok(())
         }
-        other => return Err(format!("unexpected '{}' record", other.op())),
-    };
-    scheduler
-        .apply(&event)
-        .map(|_| ())
-        .map_err(|e| e.to_string())
+    }
 }
 
 /// Workload classes understood by `busytime generate`.

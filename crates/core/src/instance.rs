@@ -5,14 +5,15 @@
 //! MaxThroughput instances additionally carry a busy-time budget `T` (kept as a separate
 //! argument throughout this crate).
 
+use std::sync::OnceLock;
+
 use busytime_interval::{
     classify_sorted, connected_components_sorted, is_clique, is_one_sided, is_proper_sorted,
-    Classification, DepthProfile, Duration, Interval,
+    Classification, Duration, Interval,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::error::Error;
-use crate::soa::JobsSoa;
 
 /// Index of a job inside an [`Instance`] (position in the job vector).
 pub type JobId = usize;
@@ -23,22 +24,28 @@ pub type JobId = usize;
 /// the order `J_1 ≤ J_2 ≤ … ≤ J_n` the paper uses; the original insertion order is not
 /// preserved (jobs are identified by their index in the sorted order).
 ///
-/// Next to the interval vector, the instance keeps the flat [`JobsSoa`] columns —
-/// `start[]`/`end[]` arrays plus lazily cached canonical orders and the depth profile —
-/// which is what the hot placement paths and the aggregate queries actually consume
-/// (see [`Instance::soa`]).  The columns are derived data: equality, ordering and the
-/// serialized form consider only the jobs and the capacity.
+/// The sorted job vector is the only copy of the jobs.  Next to it the instance keeps
+/// what its construction pass computes — `len(J)`, `span(J)` and the hull end — and
+/// the two length orders, each sorted once on first use.  These are derived data:
+/// equality and the serialized form consider only the jobs and the capacity.
 #[derive(Debug, Clone)]
 pub struct Instance {
     jobs: Vec<Interval>,
     capacity: usize,
-    soa: JobsSoa,
+    /// `len(J)` in ticks.
+    total_len: i64,
+    /// `span(J)` in ticks.
+    span: i64,
+    /// Largest job end in ticks (`i64::MIN` when empty): the hull is
+    /// `[jobs[0].start, max_end)`.
+    max_end: i64,
+    by_len_desc: OnceLock<Vec<u32>>,
+    by_len_asc: OnceLock<Vec<u32>>,
 }
 
 impl PartialEq for Instance {
     fn eq(&self, other: &Self) -> bool {
-        // The SoA columns are a pure function of the jobs; comparing them would be
-        // redundant work.
+        // Everything else is a pure function of the jobs.
         self.jobs == other.jobs && self.capacity == other.capacity
     }
 }
@@ -76,11 +83,29 @@ impl Instance {
 
     /// Internal constructor for job lists already sorted by `(start, completion)`.
     fn from_sorted(jobs: Vec<Interval>, capacity: usize) -> Self {
-        let soa = JobsSoa::new(&jobs);
+        assert!(
+            u32::try_from(jobs.len()).is_ok(),
+            "job orders index jobs with u32"
+        );
+        // One pass for the aggregates.  The starts are sorted, so a job adds to the
+        // union length whatever it reaches past every earlier job's end.
+        let (mut total_len, mut span, mut max_end) = (0, 0, i64::MIN);
+        for job in &jobs {
+            let (s, e) = (job.start().ticks(), job.end().ticks());
+            total_len += e - s;
+            if e > max_end {
+                span += e - s.max(max_end);
+                max_end = e;
+            }
+        }
         Instance {
             jobs,
             capacity,
-            soa,
+            total_len,
+            span,
+            max_end,
+            by_len_desc: OnceLock::new(),
+            by_len_asc: OnceLock::new(),
         }
     }
 
@@ -143,54 +168,43 @@ impl Instance {
         self.capacity
     }
 
-    /// The flat columnar view of the jobs: `start[]`/`end[]` arrays aligned with the
-    /// job ids, plus cached canonical orders and the depth profile.
-    pub fn soa(&self) -> &JobsSoa {
-        &self.soa
-    }
-
-    /// Start ticks by job id (sorted non-decreasing — job ids are arrival order).
-    pub fn starts(&self) -> &[i64] {
-        self.soa.starts()
-    }
-
-    /// End ticks by job id, aligned with [`Instance::starts`].
-    pub fn ends(&self) -> &[i64] {
-        self.soa.ends()
-    }
-
-    /// Job ids in non-increasing length order (FirstFit's canonical order), computed
-    /// once per instance.
+    /// Job ids in non-increasing length order, ties by id (FirstFit's canonical
+    /// order), computed once per instance.
     pub fn order_by_length_desc(&self) -> &[u32] {
-        self.soa.by_length_desc()
+        self.by_len_desc
+            .get_or_init(|| self.order_by_key(std::cmp::Reverse))
     }
 
-    /// Job ids in non-decreasing length order (the best-fit greedy's canonical order),
-    /// computed once per instance.
+    /// Job ids in non-decreasing length order, ties by id (the best-fit greedy's
+    /// canonical order), computed once per instance.
     pub fn order_by_length_asc(&self) -> &[u32] {
-        self.soa.by_length_asc()
+        self.by_len_asc.get_or_init(|| self.order_by_key(|len| len))
     }
 
-    /// The coordinate-compressed depth profile of the job set, built once from the SoA
-    /// endpoint runs and shared by every aggregate query.
-    pub fn depth_profile(&self) -> &DepthProfile {
-        self.soa.profile()
+    /// Job ids sorted by `(key(length), id)`.
+    fn order_by_key<K: Ord>(&self, key: impl Fn(Duration) -> K) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.jobs.len() as u32).collect();
+        order.sort_unstable_by_key(|&j| (key(self.jobs[j as usize].len()), j));
+        order
     }
 
-    /// Total length `len(J)` of all jobs (Definition 2.1).
+    /// Total length `len(J)` of all jobs (Definition 2.1), computed at construction.
     pub fn total_len(&self) -> Duration {
-        Duration::new(self.soa.total_len_ticks())
+        Duration::new(self.total_len)
     }
 
-    /// Span `span(J)` of all jobs (Definition 2.2), an `O(1)` read of the value the
-    /// SoA columns computed in their construction pass.
+    /// Span `span(J)` of all jobs (Definition 2.2), computed at construction.
     pub fn span(&self) -> Duration {
-        Duration::new(self.soa.span_ticks())
+        Duration::new(self.span)
     }
 
-    /// Largest number of jobs active at any single time.
-    pub fn max_overlap(&self) -> usize {
-        self.soa.profile().max_depth()
+    /// Average coverage depth over the hull, `len(J) / (hull length)` — the `O(1)`
+    /// density estimate the adaptive dispatch thresholds consume (0.0 when empty).
+    pub(crate) fn hull_density(&self) -> f64 {
+        match self.jobs.first() {
+            Some(first) => self.total_len as f64 / (self.max_end - first.start().ticks()) as f64,
+            None => 0.0,
+        }
     }
 
     /// Classification of the instance (clique / one-sided / proper / connected).
@@ -273,7 +287,6 @@ mod tests {
         let inst = Instance::from_ticks(&[(0, 4), (2, 6), (10, 12)], 3);
         assert_eq!(inst.total_len(), Duration::new(4 + 4 + 2));
         assert_eq!(inst.span(), Duration::new(6 + 2));
-        assert_eq!(inst.max_overlap(), 2);
         assert!(!inst.is_clique());
         assert!(inst.is_proper());
         assert!(!inst.is_empty());
@@ -300,5 +313,27 @@ mod tests {
         assert_eq!(mapping, comps[1]);
         assert_eq!(sub.job(0), inst.job(mapping[0]));
         assert_eq!(sub.capacity(), 2);
+    }
+
+    #[test]
+    fn length_orders_match_reference_sorts() {
+        let inst = Instance::from_ticks(&[(0, 10), (1, 3), (4, 6), (2, 12), (7, 9)], 2);
+        let jobs = inst.jobs();
+        let mut desc: Vec<usize> = (0..jobs.len()).collect();
+        desc.sort_by_key(|&j| (std::cmp::Reverse(jobs[j].len()), j));
+        let mut asc: Vec<usize> = (0..jobs.len()).collect();
+        asc.sort_by_key(|&j| (jobs[j].len(), j));
+        let ids = |order: &[u32]| order.iter().map(|&j| j as usize).collect::<Vec<_>>();
+        assert_eq!(ids(inst.order_by_length_desc()), desc);
+        assert_eq!(ids(inst.order_by_length_asc()), asc);
+    }
+
+    #[test]
+    fn clones_share_nothing_mutable() {
+        let inst = Instance::from_ticks(&[(0, 4), (1, 5)], 2);
+        let _ = inst.order_by_length_desc();
+        let copy = inst.clone();
+        assert_eq!(copy.order_by_length_desc(), inst.order_by_length_desc());
+        assert_eq!(copy, inst);
     }
 }

@@ -56,7 +56,6 @@
 //! | [`machine`] | incremental [`MachineState`] / [`MachinePool`] / [`ScheduleBuilder`] powering the greedy placements |
 //! | [`online`] | the event-driven [`OnlineScheduler`] maintaining a live schedule under arrivals and departures |
 //! | [`placement`] | the global [`PlacementIndex`] selecting machines in `O(log m)` |
-//! | [`soa`] | the flat [`JobsSoa`] columnar job layout behind [`Instance`] |
 //! | [`tuning`] | calibrated scan/kernel cutover thresholds for adaptive dispatch |
 //! | [`minbusy`] | every MinBusy algorithm of Section 3 plus baselines |
 //! | [`maxthroughput`] | every MaxThroughput algorithm of Section 4 plus the reductions of Section 2 |
@@ -86,7 +85,6 @@ pub mod par;
 pub mod placement;
 pub mod report;
 mod schedule;
-pub mod soa;
 pub mod solver;
 pub mod tuning;
 pub mod twodim;
@@ -99,7 +97,6 @@ pub use online::{OnlinePolicy, OnlineRun, OnlineScheduler, OnlineSnapshot};
 pub use placement::{MachineDigest, PlacementIndex};
 pub use report::{ScheduleReport, SimulationReport};
 pub use schedule::{MachineId, Schedule, SolveResult, ThroughputResult};
-pub use soa::JobsSoa;
 pub use solver::{
     Algorithm, AttemptOutcome, DispatchAttempt, ExactBackend, ExactBudget, ExactOracle,
     ExactOutcome, InstanceBounds, Objective, Problem, ProblemKind, SkipReason, Solution,

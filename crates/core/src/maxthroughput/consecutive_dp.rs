@@ -200,7 +200,7 @@ pub fn most_throughput_consecutive_fast(
         return Ok(ThroughputResult::new(Schedule::empty(0), instance));
     }
     let g = instance.capacity().min(n);
-    let (starts, ends) = (instance.starts(), instance.ends());
+    let jobs = instance.jobs();
     let w = g + 1;
 
     // prev/curr[t·w + j]: layers i − 1 and i.  Layer i only fills rows t ≤ i; the rows
@@ -214,8 +214,12 @@ pub fn most_throughput_consecutive_fast(
     let mut argmin = vec![0u32; n * (n + 1) / 2];
 
     for i in 1..=n {
-        let len = ends[i - 1] - starts[i - 1];
-        let inc = if i >= 2 { ends[i - 1] - ends[i - 2] } else { 0 };
+        let len = jobs[i - 1].len().ticks();
+        let inc = if i >= 2 {
+            jobs[i - 1].end().ticks() - jobs[i - 2].end().ticks()
+        } else {
+            0
+        };
         debug_assert!(inc >= 0, "ends are non-decreasing in a proper instance");
         let row_args = &mut argmin[i * (i - 1) / 2..][..i];
         // The minimum of layer i − 1's row t − 1: the `j = 0` cell of row t.

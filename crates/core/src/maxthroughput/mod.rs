@@ -48,7 +48,7 @@ use crate::schedule::{Schedule, ThroughputResult};
 /// (see `greedy_fallback_scan` for the pre-kernel reference).
 pub fn greedy_fallback(instance: &Instance, budget: Duration) -> ThroughputResult {
     let mut builder = crate::machine::ScheduleBuilder::new(instance);
-    // Shortest-first is the instance's cached SoA permutation — no per-call re-sort.
+    // Shortest-first is the instance's cached length order — no per-call re-sort.
     for &j in instance.order_by_length_asc() {
         let j = j as usize;
         let placement = builder.best_fit(j);

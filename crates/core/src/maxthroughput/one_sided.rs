@@ -50,15 +50,14 @@ pub fn one_sided_max_throughput_value(
     if !instance.is_one_sided() {
         return Err(Error::NotOneSided);
     }
-    let soa = instance.soa();
-    let order = instance.order_by_length_asc();
+    let (jobs, order) = (instance.jobs(), instance.order_by_length_asc());
     // Slot `k mod g` holds C(k): C(k) adds one length to C(k − g), the slot's previous
     // value (and C(k) = 0 for k ≤ 0).  With g > n, k mod g is k itself, so n + 1 slots
     // cover it.
     let mut slots = vec![0i64; instance.capacity().min(order.len() + 1)];
     for (k, &j) in (1..).zip(order) {
         let slot = k % slots.len();
-        slots[slot] += soa.job_len(j as usize);
+        slots[slot] += jobs[j as usize].len().ticks();
         if slots[slot] > budget.ticks() {
             return Ok(k - 1);
         }

@@ -18,9 +18,9 @@ use crate::tuning;
 /// Valid for every instance (no structural precondition); a 4-approximation on general
 /// instances by the analysis of \[13\].
 ///
-/// The length order comes from the instance's cached SoA permutation (no per-call
-/// re-sort) and placement goes through [`first_fit_in_order_adaptive`], so small
-/// instances run the plain scan and large ones the kernel + placement index.
+/// The length order is the instance's cached one (no per-call re-sort) and placement
+/// goes through [`first_fit_in_order_adaptive`], so small instances run the plain scan
+/// and large ones the kernel + placement index.
 pub fn first_fit(instance: &Instance) -> Schedule {
     place_adaptive(
         instance,
@@ -59,7 +59,7 @@ pub fn first_fit_in_order_adaptive(instance: &Instance, order: &[usize]) -> Sche
 }
 
 /// Shared adaptive driver over any job-id stream (lets [`first_fit`] feed the cached
-/// `u32` SoA permutation straight through without materializing a `usize` vector).
+/// `u32` length order straight through without materializing a `usize` vector).
 fn place_adaptive(instance: &Instance, order: impl Iterator<Item = usize>) -> Schedule {
     if tuning::first_fit_use_kernel(instance) {
         let mut builder = ScheduleBuilder::new(instance);

@@ -8,7 +8,7 @@
 //! consults this module and cuts over between the plain scan and the kernel
 //! automatically.
 //!
-//! The decision uses two `O(1)` facts off the SoA columns:
+//! The decision uses two `O(1)` facts the instance computes at construction:
 //!
 //! * the job count `n`, and
 //! * the hull density `len(J) / hull(J)` — the average coverage depth.  Density / `g`
@@ -49,8 +49,7 @@ pub const DENSE_HULL_DENSITY: f64 = 2.5;
 pub fn first_fit_use_kernel(instance: &Instance) -> bool {
     let n = instance.len();
     n >= FIRST_FIT_KERNEL_MIN_JOBS
-        || (n >= FIRST_FIT_KERNEL_MIN_JOBS_DENSE
-            && instance.soa().hull_density() >= DENSE_HULL_DENSITY)
+        || (n >= FIRST_FIT_KERNEL_MIN_JOBS_DENSE && instance.hull_density() >= DENSE_HULL_DENSITY)
 }
 
 #[cfg(test)]
@@ -81,18 +80,18 @@ mod tests {
     fn dense_instances_cut_over_earlier() {
         // Density ~ len/step = 8: dense, so the lower threshold applies.
         let dense = staircase(3_000, 5, 40);
-        assert!(dense.soa().hull_density() >= DENSE_HULL_DENSITY);
+        assert!(dense.hull_density() >= DENSE_HULL_DENSITY);
         assert!(first_fit_use_kernel(&dense));
         // Same size but sparse: stays on the scan.
         let sparse = staircase(3_000, 10, 8);
-        assert!(sparse.soa().hull_density() < DENSE_HULL_DENSITY);
+        assert!(sparse.hull_density() < DENSE_HULL_DENSITY);
         assert!(!first_fit_use_kernel(&sparse));
     }
 
     #[test]
     fn empty_instance_is_sparse() {
         let empty = Instance::from_ticks(&[], 3);
-        assert_eq!(empty.soa().hull_density(), 0.0);
+        assert_eq!(empty.hull_density(), 0.0);
         assert!(!first_fit_use_kernel(&empty));
     }
 }

@@ -45,34 +45,45 @@ struct SubsetTable {
     choice: Vec<u32>,
 }
 
-/// Build the subset DP table for an instance.
+/// Build the subset DP table for an instance: a machine runs at most `g` jobs at once.
 ///
 /// # Panics
 /// Panics if the instance has more than [`MAX_EXACT_JOBS`] jobs.
 fn build_table(instance: &Instance) -> SubsetTable {
-    let n = instance.len();
+    let g = instance.capacity();
+    subset_table(instance.jobs(), |_, group| max_overlap(group) <= g)
+}
+
+/// The subset DP over `jobs`, where `fits(ids, group)` judges whether one machine can
+/// run a job set (its ids in ascending order, and their intervals).
+///
+/// # Panics
+/// Panics if there are more than [`MAX_EXACT_JOBS`] jobs.
+fn subset_table(jobs: &[Interval], fits: impl Fn(&[usize], &[Interval]) -> bool) -> SubsetTable {
+    let n = jobs.len();
     assert!(
         n <= MAX_EXACT_JOBS,
         "exact solver limited to {MAX_EXACT_JOBS} jobs, got {n}"
     );
-    let g = instance.capacity();
-    let jobs = instance.jobs();
     let full = 1usize << n;
 
-    // Per-mask span and validity (≤ g simultaneous jobs).
+    // Per-mask span and validity.
     let mut mask_span = vec![0i64; full];
     let mut mask_valid = vec![false; full];
-    let mut buffer: Vec<Interval> = Vec::with_capacity(n);
+    let mut ids: Vec<usize> = Vec::with_capacity(n);
+    let mut group: Vec<Interval> = Vec::with_capacity(n);
     for mask in 1..full {
-        buffer.clear();
+        ids.clear();
+        group.clear();
         let mut m = mask;
         while m != 0 {
             let j = m.trailing_zeros() as usize;
-            buffer.push(jobs[j]);
+            ids.push(j);
+            group.push(jobs[j]);
             m &= m - 1;
         }
-        mask_span[mask] = span(&buffer).ticks();
-        mask_valid[mask] = max_overlap(&buffer) <= g;
+        mask_span[mask] = span(&group).ticks();
+        mask_valid[mask] = fits(&ids, &group);
     }
 
     const INF: i64 = i64::MAX / 4;
@@ -199,60 +210,15 @@ pub fn exact_maxthroughput(instance: &Instance, budget: Duration) -> ThroughputR
 /// # Panics
 /// Panics if the instance has more than [`MAX_EXACT_JOBS`] jobs.
 pub fn exact_demand_minbusy(instance: &busytime::demand::DemandInstance) -> (Schedule, Duration) {
+    let table = subset_table(instance.jobs(), |ids, _| {
+        instance.peak_demand(ids) <= instance.capacity()
+    });
     let n = instance.len();
-    assert!(
-        n <= MAX_EXACT_JOBS,
-        "exact solver limited to {MAX_EXACT_JOBS} jobs, got {n}"
-    );
-    if n == 0 {
-        return (Schedule::empty(0), Duration::ZERO);
-    }
-    let jobs = instance.jobs();
-    let full = 1usize << n;
-    let ids_of = |mask: usize| -> Vec<usize> {
-        let mut ids = Vec::new();
-        let mut m = mask;
-        while m != 0 {
-            ids.push(m.trailing_zeros() as usize);
-            m &= m - 1;
-        }
-        ids
-    };
-    let mut mask_span = vec![0i64; full];
-    let mut mask_valid = vec![false; full];
-    for mask in 1..full {
-        let ids = ids_of(mask);
-        let ivs: Vec<Interval> = ids.iter().map(|&j| jobs[j]).collect();
-        mask_span[mask] = span(&ivs).ticks();
-        mask_valid[mask] = instance.peak_demand(&ids) <= instance.capacity();
-    }
-    const INF: i64 = i64::MAX / 4;
-    let mut cost = vec![INF; full];
-    let mut choice = vec![0u32; full];
-    cost[0] = 0;
-    for mask in 1..full {
-        let low_bit = 1usize << mask.trailing_zeros();
-        let rest = mask ^ low_bit;
-        let mut sub = rest;
-        loop {
-            let group = sub | low_bit;
-            if mask_valid[group] && cost[mask ^ group] < INF {
-                let cand = cost[mask ^ group] + mask_span[group];
-                if cand < cost[mask] {
-                    cost[mask] = cand;
-                    choice[mask] = group as u32;
-                }
-            }
-            if sub == 0 {
-                break;
-            }
-            sub = (sub - 1) & rest;
-        }
-    }
-    let table = SubsetTable { cost, choice };
-    let schedule = reconstruct(&table, n, full - 1);
-    let total = Duration::new(table.cost[full - 1]);
-    (schedule, total)
+    let full = (1usize << n) - 1;
+    (
+        reconstruct(&table, n, full),
+        Duration::new(table.cost[full]),
+    )
 }
 
 /// The exact optimal throughput value (no schedule reconstruction).

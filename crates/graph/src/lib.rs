@@ -5,8 +5,9 @@
 //!
 //! * [`max_weight_matching`] — maximum-weight matching in general graphs via the blossom
 //!   algorithm, the engine behind the optimal clique/`g = 2` algorithm (Lemma 3.1),
-//! * [`greedy_set_cover`] — greedy weighted set cover with the `H_k` guarantee, the engine
-//!   behind the clique/fixed-`g` approximation (Lemma 3.2),
+//! * [`greedy_set_partition`] — the greedy of weighted set cover (`H_k` guarantee)
+//!   restricted to disjoint picks, the engine behind the clique/fixed-`g` approximation
+//!   (Lemma 3.2),
 //! * [`OverlapGraph`] — the weighted overlap graph of a set of job intervals.
 
 #![warn(missing_docs)]
@@ -21,7 +22,4 @@ mod setcover;
 
 pub use interval_graph::OverlapGraph;
 pub use matching::{max_weight_matching, max_weight_matching_brute, Matching, WeightedEdge};
-pub use setcover::{
-    exact_set_cover, greedy_set_cover, greedy_set_partition, SetCover, UncoverableError,
-    WeightedSet,
-};
+pub use setcover::{greedy_set_partition, SetCover, UncoverableError, WeightedSet};

@@ -1,4 +1,4 @@
-//! Greedy weighted set cover.
+//! Greedy weighted set partition.
 //!
 //! Lemma 3.2 of the paper solves MinBusy on clique instances with fixed `g` by reducing
 //! to minimum-weight set cover: the universe is the job set, the candidate sets are all
@@ -6,9 +6,10 @@
 //! classical greedy algorithm is then an `H_g`-approximation because every candidate has
 //! size at most `g`.
 //!
-//! This module implements the generic greedy algorithm over an explicit set family with
-//! integer weights.  Ratios `weight / newly_covered` are compared exactly by
-//! cross-multiplication, so no floating point enters the decision.
+//! This module implements that greedy over an explicit set family with integer
+//! weights, restricted to disjoint picks ([`greedy_set_partition`] says why).  Ratios
+//! `weight / size` are compared exactly by cross-multiplication, so no floating point
+//! enters the decision.
 
 /// A candidate set of the family, with its weight.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +33,7 @@ impl WeightedSet {
     }
 }
 
-/// The result of a greedy set-cover run.
+/// The result of a [`greedy_set_partition`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetCover {
     /// Indices (into the candidate family) of the chosen sets, in pick order.
@@ -60,76 +61,12 @@ impl std::fmt::Display for UncoverableError {
 
 impl std::error::Error for UncoverableError {}
 
-/// Greedy weighted set cover over a universe `{0, …, universe_size - 1}`.
+/// Greedy weighted set **partition** over a universe `{0, …, universe_size - 1}`.
 ///
-/// Repeatedly picks the candidate minimizing `weight / (newly covered elements)` until the
-/// universe is covered.  When all candidate sets have at most `k` elements this is the
-/// classical `H_k`-approximation.  Ties are broken towards the candidate covering more new
-/// elements, then towards lower index (deterministic output).
-///
-/// Runs in `O(#sets · universe_size · #iterations)` which is ample for the `n^g`
-/// candidate families of Lemma 3.2 at the instance sizes where that algorithm is
-/// practical.
-pub fn greedy_set_cover(
-    universe_size: usize,
-    sets: &[WeightedSet],
-) -> Result<SetCover, UncoverableError> {
-    let mut covered = vec![false; universe_size];
-    let mut n_covered = 0usize;
-    let mut chosen = Vec::new();
-    let mut total_weight = 0i64;
-    let mut used = vec![false; sets.len()];
-
-    while n_covered < universe_size {
-        let mut best: Option<(usize, usize)> = None; // (set index, new elements)
-        for (idx, s) in sets.iter().enumerate() {
-            if used[idx] {
-                continue;
-            }
-            let new_elems = s.elements.iter().filter(|&&e| !covered[e]).count();
-            if new_elems == 0 {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bidx, bnew)) => {
-                    // s.weight / new_elems < sets[bidx].weight / bnew  (cross-multiplied)
-                    let lhs = s.weight as i128 * bnew as i128;
-                    let rhs = sets[bidx].weight as i128 * new_elems as i128;
-                    lhs < rhs || (lhs == rhs && new_elems > bnew)
-                }
-            };
-            if better {
-                best = Some((idx, new_elems));
-            }
-        }
-        match best {
-            Some((idx, _)) => {
-                used[idx] = true;
-                chosen.push(idx);
-                total_weight += sets[idx].weight;
-                for &e in &sets[idx].elements {
-                    if !covered[e] {
-                        covered[e] = true;
-                        n_covered += 1;
-                    }
-                }
-            }
-            None => {
-                let uncovered_element = covered.iter().position(|&c| !c).unwrap_or(0);
-                return Err(UncoverableError { uncovered_element });
-            }
-        }
-    }
-    Ok(SetCover {
-        chosen,
-        total_weight,
-    })
-}
-
-/// Greedy weighted set **partition**: like [`greedy_set_cover`], but a candidate may only
-/// be picked while *all* of its elements are still uncovered, so the chosen sets are
-/// pairwise disjoint and form a partition of the universe.
+/// Repeatedly picks the candidate minimizing `weight / size` among those whose
+/// elements are *all* still uncovered, so the chosen sets are pairwise disjoint and
+/// form a partition of the universe.  Ties are broken towards the larger candidate,
+/// then towards lower index (deterministic output).
 ///
 /// This is the variant needed by the busy-time reduction of Lemma 3.2 in the paper: there
 /// the weight of a chosen set is a *shifted* span (`span(Q) − len(Q)/g`), which is not
@@ -189,55 +126,6 @@ pub fn greedy_set_partition(
     })
 }
 
-/// Exact minimum-weight set cover by exhaustive search (for ground truth in tests).
-///
-/// Exponential in the number of candidate sets; intended for tiny families only.
-pub fn exact_set_cover(universe_size: usize, sets: &[WeightedSet]) -> Option<SetCover> {
-    if universe_size == 0 {
-        return Some(SetCover {
-            chosen: Vec::new(),
-            total_weight: 0,
-        });
-    }
-    assert!(
-        universe_size <= 63,
-        "exact set cover uses a u64 bitmask universe"
-    );
-    assert!(
-        sets.len() <= 24,
-        "exact set cover is exponential in the number of sets"
-    );
-    let full: u64 = if universe_size == 63 {
-        !0 >> 1
-    } else {
-        (1u64 << universe_size) - 1
-    };
-    let masks: Vec<u64> = sets
-        .iter()
-        .map(|s| s.elements.iter().fold(0u64, |m, &e| m | (1 << e)))
-        .collect();
-    let mut best: Option<(i64, Vec<usize>)> = None;
-    for pick in 0u64..(1u64 << sets.len()) {
-        let mut cover = 0u64;
-        let mut w = 0i64;
-        let mut chosen = Vec::new();
-        for (i, m) in masks.iter().enumerate() {
-            if pick & (1 << i) != 0 {
-                cover |= m;
-                w += sets[i].weight;
-                chosen.push(i);
-            }
-        }
-        if cover & full == full && best.as_ref().is_none_or(|(bw, _)| w < *bw) {
-            best = Some((w, chosen));
-        }
-    }
-    best.map(|(total_weight, chosen)| SetCover {
-        chosen,
-        total_weight,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,14 +136,14 @@ mod tests {
 
     #[test]
     fn trivial_cover() {
-        let cover = greedy_set_cover(3, &[ws(&[0, 1, 2], 5)]).unwrap();
+        let cover = greedy_set_partition(3, &[ws(&[0, 1, 2], 5)]).unwrap();
         assert_eq!(cover.chosen, vec![0]);
         assert_eq!(cover.total_weight, 5);
     }
 
     #[test]
     fn empty_universe_needs_nothing() {
-        let cover = greedy_set_cover(0, &[]).unwrap();
+        let cover = greedy_set_partition(0, &[]).unwrap();
         assert!(cover.chosen.is_empty());
         assert_eq!(cover.total_weight, 0);
     }
@@ -264,47 +152,29 @@ mod tests {
     fn greedy_picks_best_ratio() {
         // One big cheap set vs several expensive singletons.
         let sets = [ws(&[0], 10), ws(&[1], 10), ws(&[2], 10), ws(&[0, 1, 2], 12)];
-        let cover = greedy_set_cover(3, &sets).unwrap();
+        let cover = greedy_set_partition(3, &sets).unwrap();
         assert_eq!(cover.chosen, vec![3]);
         assert_eq!(cover.total_weight, 12);
-    }
-
-    #[test]
-    fn classic_greedy_suboptimal_instance() {
-        // Universe {0..5}; optimal = two sets of weight 1+eps each, greedy takes the big one.
-        // Here we check greedy still returns a valid cover and exact is at least as good.
-        let sets = [
-            ws(&[0, 1, 2], 10),
-            ws(&[3, 4, 5], 10),
-            ws(&[0, 3], 4),
-            ws(&[1, 4], 4),
-            ws(&[2, 5], 4),
-        ];
-        let greedy = greedy_set_cover(6, &sets).unwrap();
-        let exact = exact_set_cover(6, &sets).unwrap();
-        assert!(exact.total_weight <= greedy.total_weight);
-        // Validate the greedy cover covers everything.
-        let mut covered = [false; 6];
-        for &i in &greedy.chosen {
-            for &e in &sets[i].elements {
-                covered[e] = true;
-            }
-        }
-        assert!(covered.iter().all(|&c| c));
+        // Equal ratios: the larger set wins, then the lower index.
+        let tied = [ws(&[0], 2), ws(&[1, 2], 4), ws(&[0, 3], 4), ws(&[3], 2)];
+        let cover = greedy_set_partition(4, &tied).unwrap();
+        assert_eq!(cover.chosen, vec![1, 2]);
+        assert_eq!(cover.total_weight, 8);
     }
 
     #[test]
     fn uncoverable_universe_is_an_error() {
-        let err = greedy_set_cover(3, &[ws(&[0, 1], 1)]).unwrap_err();
+        let err = greedy_set_partition(3, &[ws(&[0, 1], 1)]).unwrap_err();
         assert_eq!(err.uncovered_element, 2);
     }
 
     #[test]
     fn zero_weight_sets_are_allowed() {
         let sets = [ws(&[0], 0), ws(&[1], 3), ws(&[0, 1], 2)];
-        let cover = greedy_set_cover(2, &sets).unwrap();
-        // Greedy takes the free set first, then the cheapest way to cover element 1.
-        assert_eq!(cover.total_weight, 2);
+        let cover = greedy_set_partition(2, &sets).unwrap();
+        // The free set goes first; it blocks the pair, so element 1 goes alone.
+        assert_eq!(cover.chosen, vec![0, 1]);
+        assert_eq!(cover.total_weight, 3);
     }
 
     #[test]
@@ -340,39 +210,11 @@ mod tests {
     fn partition_variant_fails_when_family_is_not_subset_closed() {
         // Only an overlapping pair of sets exists: a disjoint partition is impossible.
         let sets = [ws(&[0, 1], 1), ws(&[1, 2], 1)];
-        assert!(greedy_set_cover(3, &sets).is_ok());
-        assert!(greedy_set_partition(3, &sets).is_err());
-    }
-
-    #[test]
-    fn exact_matches_greedy_on_small_random_families() {
-        // Deterministic pseudo-random family; exact must never exceed greedy.
-        let mut seed = 12345u64;
-        let mut rnd = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 33) as usize
-        };
-        for _ in 0..20 {
-            let universe = 6;
-            let nsets = 8;
-            let mut sets = Vec::new();
-            for _ in 0..nsets {
-                let mut elems: Vec<usize> = (0..universe).filter(|_| rnd() % 2 == 0).collect();
-                if elems.is_empty() {
-                    elems.push(rnd() % universe);
-                }
-                sets.push(WeightedSet::new(elems, (rnd() % 20) as i64));
-            }
-            // Ensure coverability.
-            sets.push(ws(&(0..universe).collect::<Vec<_>>(), 50));
-            let greedy = greedy_set_cover(universe, &sets).unwrap();
-            let exact = exact_set_cover(universe, &sets).unwrap();
-            assert!(exact.total_weight <= greedy.total_weight);
-            // Greedy with sets of size <= 6 is an H_6 approximation.
-            let h6 = 1.0 + 0.5 + 1.0 / 3.0 + 0.25 + 0.2 + 1.0 / 6.0;
-            assert!(greedy.total_weight as f64 <= h6 * exact.total_weight as f64 + 1e-9);
-        }
+        assert_eq!(
+            greedy_set_partition(3, &sets)
+                .unwrap_err()
+                .uncovered_element,
+            2
+        );
     }
 }

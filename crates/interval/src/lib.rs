@@ -12,7 +12,8 @@
 //! * [`Rect`] — two-dimensional rectangular intervals (Section 3.4),
 //! * the sweep-line kernel ([`DepthProfile`], [`SweepSet`], [`SortedSweep`],
 //!   [`DisjointIntervalSet`]) — one compressed timeline that every overlap-derived
-//!   quantity in the workspace is read from,
+//!   quantity in the workspace is read from: the aggregates of a fixed interval set,
+//!   the streaming cost of a schedule, and the live occupancy of a machine,
 //! * span / length / union computations for sets of intervals and rectangles
 //!   (Definitions 2.1, 2.2, 3.1, 3.2), all thin wrappers over the kernel,
 //! * classification of interval sets into the special instance classes the paper studies

@@ -11,12 +11,13 @@
 //! Three views of the timeline are provided, ordered by generality:
 //!
 //! * [`DepthProfile`] — an immutable snapshot built in `O(n log n)`: compressed
-//!   endpoint coordinates plus the coverage depth of every segment between them, with
-//!   point/range queries and the derived aggregates (max depth, span, union, per-depth
-//!   lengths).
+//!   endpoint coordinates plus the coverage depth of every segment between them, read
+//!   as aggregates (max depth, span, union, per-depth lengths).
 //! * [`SweepSet`] — an incremental profile supporting interval insertion *and* removal
 //!   in `O((k + 1) log n)` (where `k` is the number of segment boundaries inside the
-//!   updated window) while maintaining the running maximum depth and covered length.
+//!   updated window) while maintaining the running maximum depth and covered length,
+//!   with the window queries machine placement asks (overlap, covered length, widest
+//!   run at a depth).
 //! * [`SortedSweep`] — a streaming profile for intervals pushed in non-decreasing start
 //!   order (the order `Instance` stores jobs in), maintaining span and maximum depth in
 //!   `O(log d)` per push, where `d` is the current depth.
@@ -26,7 +27,7 @@
 //! single thread of execution of a machine holds.
 //!
 //! ```
-//! use busytime_interval::{DepthProfile, Interval, SweepSet, Time};
+//! use busytime_interval::{DepthProfile, Interval, SweepSet};
 //!
 //! let jobs = [
 //!     Interval::from_ticks(0, 4),
@@ -36,7 +37,6 @@
 //! let profile = DepthProfile::new(&jobs);
 //! assert_eq!(profile.max_depth(), 2);
 //! assert_eq!(profile.span().ticks(), 6);
-//! assert_eq!(profile.depth_at(Time::new(2)), 2);
 //!
 //! let mut sweep = SweepSet::new();
 //! for job in &jobs {
@@ -51,14 +51,13 @@
 use std::collections::BTreeMap;
 
 use crate::interval::Interval;
-use crate::time::{Duration, Time};
+use crate::time::Duration;
 
 /// An immutable coordinate-compressed depth profile of a set of intervals.
 ///
 /// Construction sorts the `2n` endpoint events once (`O(n log n)`); every derived
-/// quantity — maximum overlap, span, union components, per-depth lengths, point and
-/// range queries — is then read off the compressed segments without touching the
-/// original intervals again.
+/// quantity — maximum overlap, span, union components, per-depth lengths — is then
+/// read off the compressed segments without touching the original intervals again.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepthProfile {
     /// Segment boundaries: `bounds[i]..bounds[i+1]` is segment `i`.  Empty iff the
@@ -81,69 +80,19 @@ impl DepthProfile {
         // Ends sort before starts at equal time (half-open semantics), matching the
         // paper's convention that touching intervals do not overlap.
         events.sort_unstable();
-        Self::from_event_stream(events.len(), events.into_iter())
-    }
-
-    /// Build the profile from the flat SoA event arrays an `Instance` already holds:
-    /// `starts` sorted non-decreasing and `ends` sorted non-decreasing (the two arrays
-    /// describe the same interval multiset but need not be aligned index-by-index).
-    ///
-    /// This skips the event sort of [`DepthProfile::new`] entirely — the two runs are
-    /// merged in one `O(n)` pass — which is what makes profile-backed aggregates
-    /// (max overlap, span, per-depth lengths) linear for callers that keep their jobs
-    /// in sorted columnar form.
-    ///
-    /// # Panics
-    /// Debug builds panic if either array is unsorted or the lengths differ.
-    pub fn from_sorted_events(starts: &[i64], ends: &[i64]) -> Self {
-        debug_assert_eq!(starts.len(), ends.len(), "one end event per start event");
-        debug_assert!(starts.windows(2).all(|w| w[0] <= w[1]), "starts sorted");
-        debug_assert!(ends.windows(2).all(|w| w[0] <= w[1]), "ends sorted");
-        let (mut i, mut j) = (0usize, 0usize);
-        let merged = std::iter::from_fn(move || {
-            // Ends win ties (half-open semantics), exactly as the sorted combined
-            // event list of `new` orders `(t, -1)` before `(t, +1)`.
-            if j < ends.len() && (i >= starts.len() || ends[j] <= starts[i]) {
-                j += 1;
-                Some((ends[j - 1], -1))
-            } else if i < starts.len() {
-                i += 1;
-                Some((starts[i - 1], 1))
-            } else {
-                None
-            }
-        });
-        Self::from_event_stream(starts.len() + ends.len(), merged)
-    }
-
-    /// Shared segment builder over an event stream sorted by `(time, delta)`.
-    fn from_event_stream(count: usize, events: impl Iterator<Item = (i64, i32)>) -> Self {
-        let mut bounds: Vec<i64> = Vec::new();
+        let mut bounds: Vec<i64> = Vec::with_capacity(events.len());
         let mut depths = Vec::new();
-        let mut depth: i32 = 0;
-        let mut max_depth: i32 = 0;
-        let mut span: i64 = 0;
-        let mut events = events.peekable();
-        bounds.reserve(count);
-        while let Some(&(t, _)) = events.peek() {
+        let (mut depth, mut max_depth, mut span) = (0i32, 0i32, 0i64);
+        for run in events.chunk_by(|a, b| a.0 == b.0) {
+            let t = run[0].0;
             if let Some(&prev) = bounds.last() {
-                if t > prev {
-                    depths.push(depth as u32);
-                    if depth > 0 {
-                        span += t - prev;
-                    }
-                    bounds.push(t);
+                depths.push(depth as u32);
+                if depth > 0 {
+                    span += t - prev;
                 }
-            } else {
-                bounds.push(t);
             }
-            while let Some(&(next, delta)) = events.peek() {
-                if next != t {
-                    break;
-                }
-                depth += delta;
-                events.next();
-            }
+            bounds.push(t);
+            depth += run.iter().map(|&(_, delta)| delta).sum::<i32>();
             max_depth = max_depth.max(depth);
         }
         debug_assert_eq!(depth, 0, "every start event has a matching end event");
@@ -164,39 +113,6 @@ impl DepthProfile {
     /// Total length covered by at least one interval (`span(I)`, Definition 2.2).
     pub fn span(&self) -> Duration {
         Duration::new(self.span)
-    }
-
-    /// Number of compressed segments.
-    pub fn segment_count(&self) -> usize {
-        self.depths.len()
-    }
-
-    /// Coverage depth at the point `t`.
-    pub fn depth_at(&self, t: Time) -> usize {
-        let t = t.ticks();
-        match self.bounds.partition_point(|&b| b <= t) {
-            0 => 0,
-            i => self.depths.get(i - 1).copied().unwrap_or(0) as usize,
-        }
-    }
-
-    /// Maximum coverage depth over the window `window` (zero when the window lies
-    /// outside the profile).
-    pub fn range_max_depth(&self, window: Interval) -> usize {
-        let mut best = 0usize;
-        self.walk(window, |_, _, depth| best = best.max(depth));
-        best
-    }
-
-    /// Length of the part of `window` covered by at least one interval.
-    pub fn covered_len(&self, window: Interval) -> Duration {
-        let mut covered = 0i64;
-        self.walk(window, |lo, hi, depth| {
-            if depth > 0 {
-                covered += hi - lo;
-            }
-        });
-        Duration::new(covered)
     }
 
     /// The union of the intervals as maximal disjoint stretches of positive depth.
@@ -237,24 +153,6 @@ impl DepthProfile {
         }
         out
     }
-
-    /// Visit every `(lo, hi, depth)` piece of the profile intersecting `window`.
-    fn walk(&self, window: Interval, mut f: impl FnMut(i64, i64, usize)) {
-        if self.bounds.is_empty() {
-            return;
-        }
-        let (s, e) = (window.start().ticks(), window.end().ticks());
-        // First segment whose end is past the window start.
-        let mut i = self.bounds.partition_point(|&b| b <= s).saturating_sub(1);
-        while i < self.depths.len() && self.bounds[i] < e {
-            let lo = self.bounds[i].max(s);
-            let hi = self.bounds[i + 1].min(e);
-            if lo < hi {
-                f(lo, hi, self.depths[i] as usize);
-            }
-            i += 1;
-        }
-    }
 }
 
 /// An incremental depth profile over the timeline: intervals can be inserted and
@@ -286,11 +184,6 @@ impl SweepSet {
     /// Number of intervals currently in the set.
     pub fn interval_count(&self) -> usize {
         self.intervals
-    }
-
-    /// `true` when no interval is present.
-    pub fn is_empty(&self) -> bool {
-        self.intervals == 0
     }
 
     /// Current maximum coverage depth.
@@ -325,21 +218,6 @@ impl SweepSet {
         debug_assert!(first_depth > 0, "leading boundary of a live set is covered");
         debug_assert!(lo < hi);
         Some(Interval::from_ticks(lo, hi))
-    }
-
-    /// Coverage depth at the point `t`.
-    pub fn depth_at(&self, t: Time) -> usize {
-        self.segs
-            .range(..=t.ticks())
-            .next_back()
-            .map_or(0, |(_, &d)| d as usize)
-    }
-
-    /// Maximum coverage depth over `window`.
-    pub fn range_max_depth(&self, window: Interval) -> usize {
-        let mut best = 0usize;
-        self.walk(window, |_, _, d| best = best.max(d));
-        best
     }
 
     /// Length of the part of `window` covered by at least one interval.
@@ -600,7 +478,6 @@ pub struct SortedSweep {
     /// End of the current contiguous busy stretch.
     frontier: Option<i64>,
     busy: i64,
-    count: usize,
     last_start: i64,
 }
 
@@ -610,11 +487,6 @@ impl SortedSweep {
         SortedSweep::default()
     }
 
-    /// Number of intervals pushed so far.
-    pub fn interval_count(&self) -> usize {
-        self.count
-    }
-
     /// Push the next interval.
     ///
     /// # Panics
@@ -622,7 +494,7 @@ impl SortedSweep {
     pub fn push(&mut self, iv: Interval) {
         let (s, e) = (iv.start().ticks(), iv.end().ticks());
         debug_assert!(
-            self.count == 0 || s >= self.last_start,
+            self.frontier.is_none() || s >= self.last_start,
             "SortedSweep requires non-decreasing start order"
         );
         self.last_start = s;
@@ -650,18 +522,11 @@ impl SortedSweep {
                 self.frontier = Some(e);
             }
         }
-        self.count += 1;
     }
 
     /// Maximum number of simultaneously active intervals seen so far.
     pub fn max_depth(&self) -> usize {
         self.max_depth
-    }
-
-    /// Number of intervals active at the most recent front (after retiring the ones
-    /// that ended before the last pushed start).
-    pub fn current_depth(&self) -> usize {
-        self.active.len()
     }
 
     /// Total union length of everything pushed so far.
@@ -680,35 +545,20 @@ impl SortedSweep {
 /// assert!(thread.insert(Interval::from_ticks(0, 4)));
 /// assert!(thread.insert(Interval::from_ticks(4, 6)), "touching is allowed");
 /// assert!(!thread.insert(Interval::from_ticks(3, 5)), "overlap is rejected");
-/// assert_eq!(thread.interval_count(), 2);
+/// assert!(thread.remove(Interval::from_ticks(0, 4)));
+/// assert!(!thread.conflicts(Interval::from_ticks(3, 4)));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DisjointIntervalSet {
     /// start → end of each member; members are pairwise disjoint, so start order is
     /// also end order.
     map: BTreeMap<i64, i64>,
-    total: i64,
 }
 
 impl DisjointIntervalSet {
     /// An empty set.
     pub fn new() -> Self {
         DisjointIntervalSet::default()
-    }
-
-    /// Number of intervals in the set.
-    pub fn interval_count(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when the set has no intervals.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Total length of the members (disjoint, so also the covered length).
-    pub fn total_len(&self) -> Duration {
-        Duration::new(self.total)
     }
 
     /// Does any member overlap `iv` (intersection of positive length)?
@@ -727,7 +577,6 @@ impl DisjointIntervalSet {
             return false;
         }
         self.map.insert(iv.start().ticks(), iv.end().ticks());
-        self.total += iv.len().ticks();
         true
     }
 
@@ -736,16 +585,10 @@ impl DisjointIntervalSet {
         match self.map.get(&iv.start().ticks()) {
             Some(&end) if end == iv.end().ticks() => {
                 self.map.remove(&iv.start().ticks());
-                self.total -= iv.len().ticks();
                 true
             }
             _ => false,
         }
-    }
-
-    /// The members in start order.
-    pub fn iter(&self) -> impl Iterator<Item = Interval> + '_ {
-        self.map.iter().map(|(&s, &e)| Interval::from_ticks(s, e))
     }
 }
 
@@ -763,57 +606,11 @@ mod tests {
         let p = DepthProfile::new(&set);
         assert_eq!(p.max_depth(), 3);
         assert_eq!(p.span(), Duration::new(7));
-        assert_eq!(p.depth_at(Time::new(3)), 3);
-        assert_eq!(p.depth_at(Time::new(5)), 1);
-        assert_eq!(p.depth_at(Time::new(6)), 0);
-        assert_eq!(p.depth_at(Time::new(-1)), 0);
-        assert_eq!(p.depth_at(Time::new(10)), 1);
-        assert_eq!(p.depth_at(Time::new(11)), 0);
         assert_eq!(p.union(), vec![iv(0, 6), iv(10, 11)]);
         assert_eq!(
             p.per_depth_lengths(),
             vec![Duration::new(7), Duration::new(4), Duration::new(2)]
         );
-    }
-
-    #[test]
-    fn profile_from_sorted_events_matches_new() {
-        let mut state = 0x2545f4914f6cdd1du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for n in [0usize, 1, 2, 7, 100] {
-            let mut set: Vec<Interval> = (0..n)
-                .map(|_| {
-                    let s = (next() % 300) as i64;
-                    iv(s, s + (next() % 40 + 1) as i64)
-                })
-                .collect();
-            set.sort();
-            let starts: Vec<i64> = set.iter().map(|v| v.start().ticks()).collect();
-            let mut ends: Vec<i64> = set.iter().map(|v| v.end().ticks()).collect();
-            ends.sort_unstable();
-            assert_eq!(
-                DepthProfile::from_sorted_events(&starts, &ends),
-                DepthProfile::new(&set),
-                "n = {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn profile_range_queries() {
-        let set = [iv(0, 4), iv(2, 8)];
-        let p = DepthProfile::new(&set);
-        assert_eq!(p.range_max_depth(iv(0, 2)), 1);
-        assert_eq!(p.range_max_depth(iv(1, 3)), 2);
-        assert_eq!(p.range_max_depth(iv(8, 9)), 0);
-        assert_eq!(p.covered_len(iv(-5, 20)), Duration::new(8));
-        assert_eq!(p.covered_len(iv(3, 10)), Duration::new(5));
-        assert_eq!(p.covered_len(iv(9, 12)), Duration::ZERO);
     }
 
     #[test]
@@ -831,21 +628,17 @@ mod tests {
         assert_eq!(p.span(), Duration::ZERO);
         assert!(p.union().is_empty());
         assert!(p.per_depth_lengths().is_empty());
-        assert_eq!(p.depth_at(Time::new(0)), 0);
-        assert_eq!(p.range_max_depth(iv(0, 10)), 0);
     }
 
     #[test]
     fn sweep_set_insert_remove_roundtrip() {
         let mut s = SweepSet::new();
-        assert!(s.is_empty());
+        assert_eq!(s.interval_count(), 0);
         assert_eq!(s.insert(iv(0, 10)), Duration::new(10));
         assert_eq!(s.insert(iv(5, 15)), Duration::new(5));
         assert_eq!(s.insert(iv(20, 25)), Duration::new(5));
         assert_eq!(s.max_depth(), 2);
         assert_eq!(s.span(), Duration::new(20));
-        assert_eq!(s.depth_at(Time::new(7)), 2);
-        assert_eq!(s.range_max_depth(iv(16, 22)), 1);
         assert_eq!(s.covered_len(iv(8, 22)), Duration::new(9));
         assert!(s.overlaps(iv(14, 16)));
         assert!(!s.overlaps(iv(15, 20)), "gap between the stretches");
@@ -858,7 +651,7 @@ mod tests {
         assert_eq!(s.remove(iv(20, 25)), Duration::new(5));
         assert_eq!(s.span(), Duration::ZERO);
         assert_eq!(s.max_depth(), 0);
-        assert!(s.is_empty());
+        assert_eq!(s.interval_count(), 0);
     }
 
     #[test]
@@ -919,7 +712,7 @@ mod tests {
         s.insert(iv(0, 10));
         s.insert(iv(2, 14));
         s.insert(iv(2, 10));
-        assert_eq!(s.range_max_depth(iv(2, 10)), 3);
+        assert_eq!(s.max_depth(), 3);
         // Query a narrow window inside the plateau: the run's true extent comes back.
         assert_eq!(s.widest_run_at_least(3, iv(5, 6), 64), Some(iv(2, 10)));
         assert_eq!(s.widest_run_at_least(2, iv(5, 6), 64), Some(iv(2, 10)));
@@ -944,8 +737,6 @@ mod tests {
         }
         assert_eq!(s.max_depth(), 3);
         assert_eq!(s.span(), Duration::new(8));
-        assert_eq!(s.current_depth(), 1);
-        assert_eq!(s.interval_count(), 4);
     }
 
     #[test]
@@ -968,12 +759,16 @@ mod tests {
         assert!(!t.conflicts(iv(4, 6)));
         assert!(!t.conflicts(iv(8, 20)));
         assert!(t.insert(iv(4, 6)));
-        assert_eq!(t.total_len(), Duration::new(8));
-        assert_eq!(t.interval_count(), 3);
+        assert!(t.conflicts(iv(5, 6)));
         assert!(t.remove(iv(4, 6)));
         assert!(!t.remove(iv(4, 7)), "end must match exactly");
-        assert_eq!(t.interval_count(), 2);
-        let members: Vec<Interval> = t.iter().collect();
-        assert_eq!(members, vec![iv(0, 4), iv(6, 8)]);
+        assert!(
+            !t.conflicts(iv(4, 6)),
+            "the removed member no longer conflicts"
+        );
+        assert!(
+            t.conflicts(iv(3, 4)) && t.conflicts(iv(6, 7)),
+            "the others still do"
+        );
     }
 }

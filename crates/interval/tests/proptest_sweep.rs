@@ -65,25 +65,6 @@ proptest! {
         prop_assert_eq!(exact, total);
     }
 
-    /// Point and range queries agree with brute-force counting over the inputs.
-    #[test]
-    fn profile_queries_match_brute_force(set in interval_vec(12), probe in interval_strategy()) {
-        let profile = DepthProfile::new(&set);
-        for t in probe.start().ticks()..probe.end().ticks() {
-            let expected = set.iter().filter(|iv| iv.contains_point(Time::new(t))).count();
-            prop_assert_eq!(profile.depth_at(Time::new(t)), expected, "depth at {}", t);
-        }
-        let brute_max = (probe.start().ticks()..probe.end().ticks())
-            .map(|t| set.iter().filter(|iv| iv.contains_point(Time::new(t))).count())
-            .max()
-            .unwrap_or(0);
-        prop_assert_eq!(profile.range_max_depth(probe), brute_max);
-        let brute_covered = (probe.start().ticks()..probe.end().ticks())
-            .filter(|&t| set.iter().any(|iv| iv.contains_point(Time::new(t))))
-            .count() as i64;
-        prop_assert_eq!(profile.covered_len(probe), Duration::new(brute_covered));
-    }
-
     /// The incremental `SweepSet` stays equivalent to a fresh `DepthProfile` of the
     /// live intervals across an arbitrary interleaving of insertions and removals.
     #[test]
@@ -111,6 +92,33 @@ proptest! {
                 .reduce(|(a, b), (c, d)| (a.min(c), b.max(d)))
                 .map(|(a, b)| Interval::from_ticks(a, b));
             prop_assert_eq!(sweep.hull(), hull);
+        }
+    }
+
+    /// `SweepSet::covered_len` — the window query best-fit pricing reads through
+    /// `MachineState::marginal_busy` — counts exactly the probe ticks that some live
+    /// interval covers, across an arbitrary interleaving of insertions and removals.
+    #[test]
+    fn sweep_set_covered_len_matches_brute_force_under_churn(
+        set in interval_vec(14),
+        removals in prop::collection::vec(any::<bool>(), 14),
+        probes in prop::collection::vec(interval_strategy(), 1..4),
+    ) {
+        let mut sweep = SweepSet::new();
+        let mut live: Vec<Interval> = Vec::new();
+        for (i, &iv) in set.iter().enumerate() {
+            sweep.insert(iv);
+            live.push(iv);
+            if removals.get(i).copied().unwrap_or(false) && !live.is_empty() {
+                let victim = live.remove(i % live.len());
+                sweep.remove(victim);
+            }
+            for &probe in &probes {
+                let brute = (probe.start().ticks()..probe.end().ticks())
+                    .filter(|&t| live.iter().any(|v| v.contains_point(Time::new(t))))
+                    .count() as i64;
+                prop_assert_eq!(sweep.covered_len(probe), Duration::new(brute), "probe {}", probe);
+            }
         }
     }
 

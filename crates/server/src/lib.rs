@@ -87,5 +87,7 @@ pub use protocol::{
     BatchInstance, BatchOutcome, ErrorCode, HealthReport, Request, Response, ShardHealth,
     TenantHealth, WireError,
 };
-pub use registry::{AdmissionConfig, DurabilityConfig, Engine, Registry, RegistryConfig};
+pub use registry::{
+    AdmissionConfig, DurabilityConfig, Engine, JournalRecord, Registry, RegistryConfig,
+};
 pub use server::{serve, spawn, Client, Framing, RetryPolicy, ServerHandle};

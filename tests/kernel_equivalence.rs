@@ -70,7 +70,7 @@ fn span_edge_strategy() -> impl Strategy<Value = Instance> {
 }
 
 proptest! {
-    /// `Instance::span`, computed in the SoA construction pass, is the union length of
+    /// `Instance::span`, computed in the construction pass, is the union length of
     /// the jobs on nested, touching, duplicate and disjoint jobs.
     #[test]
     fn instance_span_matches_union_length(instance in span_edge_strategy()) {
