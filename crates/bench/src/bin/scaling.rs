@@ -406,7 +406,7 @@ fn main() {
         }
     };
     let sizes: &[usize] = if quick {
-        &[100, 1_000, 4_000]
+        &[100, 1_000, 2_000, 4_000]
     } else {
         &[100, 1_000, 10_000, 50_000]
     };

@@ -120,7 +120,8 @@ impl MachineState {
         MachineDigest::new(self.hull, self.saturated)
     }
 
-    /// Largest number of jobs this machine runs simultaneously.
+    /// Largest number of jobs this machine runs simultaneously: a scan of the whole
+    /// coverage profile, `O(segments)`, so placement never calls it.
     pub fn max_depth(&self) -> usize {
         self.coverage.max_depth()
     }
@@ -130,8 +131,8 @@ impl MachineState {
     /// The two cached summaries answer the common cases in `O(1)`: a window disjoint
     /// from the machine's hull conflicts with nothing (thread 0), and a window
     /// touching a saturated stretch conflicts everywhere (every thread is busy at the
-    /// shared point).  Only the remaining cases consult the coverage profile and the
-    /// per-thread sets, each in `O(log n)`.
+    /// shared point).  Only the remaining cases probe the per-thread sets in order, in
+    /// `O(log n)` each; a window nothing overlaps stops at thread 0 there too.
     pub fn first_free_thread(&self, iv: Interval) -> Option<usize> {
         if self.threads.is_empty() {
             return None;
@@ -145,9 +146,6 @@ impl MachineState {
             if s < hi && lo < e {
                 return None;
             }
-        }
-        if !self.coverage.overlaps(iv) {
-            return Some(0);
         }
         self.threads.iter().position(|t| !t.conflicts(iv))
     }
@@ -182,15 +180,15 @@ impl MachineState {
             inserted,
             "thread {thread} already runs a job overlapping {iv}"
         );
-        let delta = self.coverage.insert(iv);
+        let (delta, peak) = self.coverage.insert(iv);
         let (s, e) = (iv.start().ticks(), iv.end().ticks());
         self.hull = match self.hull {
             Some((lo, hi)) => Some((lo.min(s), hi.max(e))),
             None => Some((s, e)),
         };
-        // Depth can only have reached `g` inside the inserted window; keep the widest
-        // saturated stretch seen so far.
-        if self.coverage.max_depth() == self.capacity() {
+        // A saturated run can only have appeared or grown where the inserted window
+        // reached depth `g`; keep the widest saturated stretch seen so far.
+        if peak == self.capacity() {
             if let Some(run) =
                 self.coverage
                     .widest_run_at_least(self.capacity(), iv, SATURATED_WALK_CAP)
@@ -713,6 +711,28 @@ mod tests {
         assert_eq!(m.saturated_stretch(), None);
         assert_eq!(m.first_free_thread(iv(22, 28)), Some(0));
         assert_eq!(m.digest(), MachineDigest::EMPTY);
+    }
+
+    #[test]
+    fn saturated_stretch_refreshes_only_where_the_insert_reaches_g() {
+        let mut m = MachineState::new(2);
+        m.insert(iv(0, 10), 0);
+        m.insert(iv(14, 20), 0);
+        m.insert(iv(2, 6), 1);
+        let digest = m.digest();
+        assert_eq!(digest, MachineDigest::new(Some((0, 20)), Some((2, 6))));
+        // A window inside the hull that stays below g changes neither the stretch nor
+        // the digest.
+        m.insert(iv(10, 14), 0);
+        assert_eq!(m.saturated_stretch(), Some(iv(2, 6)));
+        assert_eq!(m.digest(), digest);
+        // A window that reaches g on a narrower run keeps the wider stretch...
+        m.insert(iv(15, 17), 1);
+        assert_eq!(m.digest(), digest);
+        // ...and one that reaches g next to the stretch widens it across the join.
+        m.insert(iv(6, 9), 1);
+        assert_eq!(m.saturated_stretch(), Some(iv(2, 9)));
+        assert_eq!(m.digest(), MachineDigest::new(Some((0, 20)), Some((2, 9))));
     }
 
     #[test]

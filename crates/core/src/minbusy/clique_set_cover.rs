@@ -19,7 +19,7 @@
 //! [`DEFAULT_SET_FAMILY_LIMIT`], guards against accidental exponential blow-ups.
 
 use busytime_graph::{greedy_set_partition, WeightedSet};
-use busytime_interval::{hull, span, Interval};
+use busytime_interval::Interval;
 
 use crate::error::Error;
 use crate::instance::Instance;
@@ -158,20 +158,11 @@ fn enumerate_subsets(
     rec(&mut ctx, 0, i64::MIN, 0, current);
 }
 
-/// Sanity check used in docs and tests: the hull of a clique set equals its span interval.
-#[allow(dead_code)]
-fn clique_span_is_hull(ivs: &[Interval]) -> bool {
-    match hull(ivs) {
-        Some(h) => span(ivs) == h.len(),
-        None => true,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds::lower_bound;
-    use busytime_interval::Duration;
+    use busytime_interval::{span, Duration};
 
     #[test]
     fn guarantee_values_match_paper() {

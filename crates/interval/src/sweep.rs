@@ -13,11 +13,12 @@
 //! * [`DepthProfile`] — an immutable snapshot built in `O(n log n)`: compressed
 //!   endpoint coordinates plus the coverage depth of every segment between them, read
 //!   as aggregates (max depth, span, union, per-depth lengths).
-//! * [`SweepSet`] — an incremental profile supporting interval insertion *and* removal
-//!   in `O((k + 1) log n)` (where `k` is the number of segment boundaries inside the
-//!   updated window) while maintaining the running maximum depth and covered length,
-//!   with the window queries machine placement asks (overlap, covered length, widest
-//!   run at a depth).
+//! * [`SweepSet`] — an incremental profile supporting interval insertion in
+//!   `O(log n + k)` *and* removal in `O((k + 1) log n)` (where `k` is the number of
+//!   segment boundaries inside the updated window) while maintaining the covered
+//!   length, with the window queries
+//!   machine placement asks (peak depth of an insertion, covered length, widest run at
+//!   a depth).
 //! * [`SortedSweep`] — a streaming profile for intervals pushed in non-decreasing start
 //!   order (the order `Instance` stores jobs in), maintaining span and maximum depth in
 //!   `O(log d)` per push, where `d` is the current depth.
@@ -156,19 +157,19 @@ impl DepthProfile {
 }
 
 /// An incremental depth profile over the timeline: intervals can be inserted and
-/// removed while the maximum depth and the covered length (span) are maintained.
+/// removed while the covered length (span) is maintained.
 ///
-/// Internally a piecewise-constant depth map keyed by segment boundary, plus a
-/// histogram of positive segment depths so that the running maximum survives
-/// removals.  An update touches only the boundaries inside the changed window.
+/// Internally a piecewise-constant depth map keyed by segment boundary.  An update
+/// touches only the boundaries inside the changed window, and an insertion reports the
+/// peak depth inside that window — the one depth fact placement needs.  The maximum
+/// depth over the whole timeline is not maintained: [`SweepSet::max_depth`] scans
+/// every segment.
 #[derive(Debug, Clone, Default)]
 pub struct SweepSet {
     /// `segs[b]` is the depth of the segment `[b, next boundary)`.  The segment after
     /// the last boundary (and before the first) has depth 0; the last boundary always
     /// carries depth 0.
     segs: BTreeMap<i64, u32>,
-    /// How many segments currently sit at each positive depth.
-    depth_counts: BTreeMap<u32, usize>,
     /// Total length of all segments with positive depth.
     busy: i64,
     /// Number of intervals currently in the set.
@@ -186,12 +187,9 @@ impl SweepSet {
         self.intervals
     }
 
-    /// Current maximum coverage depth.
+    /// Current maximum coverage depth: a scan of every segment, `O(segments)`.
     pub fn max_depth(&self) -> usize {
-        self.depth_counts
-            .keys()
-            .next_back()
-            .map_or(0, |&d| d as usize)
+        self.segs.values().max().map_or(0, |&d| d as usize)
     }
 
     /// Total length covered by at least one interval.
@@ -231,31 +229,13 @@ impl SweepSet {
         Duration::new(covered)
     }
 
-    /// Does any interval of the set overlap `window`?
-    ///
-    /// Placement hot path: answers from the segment covering the window start plus a
-    /// short-circuiting scan of the boundaries inside, rather than a full walk.
-    pub fn overlaps(&self, window: Interval) -> bool {
-        let (s, e) = (window.start().ticks(), window.end().ticks());
-        if self
-            .segs
-            .range(..=s)
-            .next_back()
-            .is_some_and(|(_, &d)| d > 0)
-        {
-            return true;
-        }
-        self.segs
-            .range((std::ops::Bound::Excluded(s), std::ops::Bound::Excluded(e)))
-            .any(|(_, &d)| d > 0)
-    }
-
     /// Insert an interval, returning the increase in covered length (the *marginal
-    /// busy time* of the insertion — zero when the window was already fully covered).
-    pub fn insert(&mut self, iv: Interval) -> Duration {
-        let delta = self.apply(iv, 1);
+    /// busy time* of the insertion — zero when the window was already fully covered)
+    /// and the largest depth inside `iv`'s window after the insertion.
+    pub fn insert(&mut self, iv: Interval) -> (Duration, usize) {
+        let (delta, peak) = self.apply(iv, 1);
         self.intervals += 1;
-        Duration::new(delta)
+        (Duration::new(delta), peak as usize)
     }
 
     /// Remove a previously inserted interval, returning the decrease in covered
@@ -264,86 +244,70 @@ impl SweepSet {
     /// Removing an interval that was never inserted corrupts the profile; this is the
     /// caller's contract (debug builds panic on depth underflow).
     pub fn remove(&mut self, iv: Interval) -> Duration {
-        let delta = self.apply(iv, -1);
+        let (delta, _) = self.apply(iv, -1);
         self.intervals -= 1;
         Duration::new(-delta)
     }
 
-    /// Add `sign` to the depth of every segment in `iv`'s window; returns the signed
-    /// change in covered length.
-    fn apply(&mut self, iv: Interval, sign: i32) -> i64 {
+    /// Add `sign` to the depth of every segment in `iv`'s window in one pass; returns
+    /// the signed change in covered length and the largest new depth in the window.
+    fn apply(&mut self, iv: Interval, sign: i32) -> (i64, u32) {
         let (s, e) = (iv.start().ticks(), iv.end().ticks());
         self.ensure_boundary(s);
         self.ensure_boundary(e);
-        let keys: Vec<i64> = self.segs.range(s..=e).map(|(&k, _)| k).collect();
-        let mut busy_delta = 0i64;
-        for pair in keys.windows(2) {
-            let len = pair[1] - pair[0];
-            let depth = self.segs.get_mut(&pair[0]).expect("boundary exists");
-            let old = *depth;
-            let new = (old as i64 + sign as i64) as u32;
-            debug_assert!(
-                old as i64 + sign as i64 >= 0,
-                "removed an interval that was never inserted"
-            );
-            *depth = new;
-            if old > 0 {
-                self.dec_count(old);
-            }
-            if new > 0 {
-                self.inc_count(new);
-            }
-            if old == 0 && new > 0 {
-                busy_delta += len;
-            } else if old > 0 && new == 0 {
-                busy_delta -= len;
-            }
-        }
-        self.busy += busy_delta;
-        if sign < 0 {
-            // Removals are the only updates that can leave a boundary carrying the
-            // same depth as its predecessor; merging those keeps the map proportional
-            // to the *live* intervals instead of every endpoint ever inserted.
-            let mut prev_depth = self.segs.range(..s).next_back().map_or(0, |(_, &d)| d);
-            for &k in &keys {
-                let d = *self.segs.get(&k).expect("boundary still present");
-                if d == prev_depth {
-                    self.segs.remove(&k);
-                    if d > 0 {
-                        self.dec_count(d);
+        // Removals are the only updates that can leave a boundary carrying the same
+        // depth as its predecessor; merging those keeps the map proportional to the
+        // *live* intervals instead of every endpoint ever inserted.
+        let mut prev_depth = if sign < 0 {
+            self.segs.range(..s).next_back().map_or(0, |(_, &d)| d)
+        } else {
+            0
+        };
+        let mut merged = Vec::new();
+        let (mut busy_delta, mut peak) = (0i64, 0u32);
+        // The segment starting at the previous boundary: the next boundary ends it.
+        let mut open: Option<(i64, &mut u32)> = None;
+        for (&k, depth) in self.segs.range_mut(s..=e) {
+            if let Some((lo, seg)) = open.take() {
+                debug_assert!(
+                    *seg as i64 + sign as i64 >= 0,
+                    "removed an interval that was never inserted"
+                );
+                let old = *seg;
+                *seg = old.wrapping_add_signed(sign);
+                peak = peak.max(*seg);
+                if old == 0 {
+                    busy_delta += k - lo;
+                } else if *seg == 0 {
+                    busy_delta -= k - lo;
+                }
+                if sign < 0 {
+                    if *seg == prev_depth {
+                        merged.push(lo);
                     }
-                } else {
-                    prev_depth = d;
+                    prev_depth = *seg;
                 }
             }
+            open = Some((k, depth));
         }
-        busy_delta
+        if sign < 0 && open.is_some_and(|(_, d)| *d == prev_depth) {
+            merged.push(e);
+        }
+        for k in merged {
+            self.segs.remove(&k);
+        }
+        self.busy += busy_delta;
+        (busy_delta, peak)
     }
 
     /// Make `t` a segment boundary, splitting the segment covering it if needed.
     fn ensure_boundary(&mut self, t: i64) {
-        if self.segs.contains_key(&t) {
-            return;
-        }
-        let depth = self.segs.range(..t).next_back().map_or(0, |(_, &d)| d);
-        self.segs.insert(t, depth);
-        if depth > 0 {
-            // Splitting one positive-depth segment into two.
-            self.inc_count(depth);
-        }
-    }
-
-    fn inc_count(&mut self, depth: u32) {
-        *self.depth_counts.entry(depth).or_insert(0) += 1;
-    }
-
-    fn dec_count(&mut self, depth: u32) {
-        match self.depth_counts.get_mut(&depth) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
-                self.depth_counts.remove(&depth);
+        match self.segs.range(..=t).next_back() {
+            Some((&k, _)) if k == t => {}
+            covering => {
+                let depth = covering.map_or(0, |(_, &d)| d);
+                self.segs.insert(t, depth);
             }
-            None => debug_assert!(false, "depth histogram out of sync"),
         }
     }
 
@@ -408,30 +372,18 @@ impl SweepSet {
         }
         if hi == we {
             // If the window edge falls inside a segment, that segment's tail (whose
-            // depth the walk already inspected) belongs to the run unconditionally.
-            if !self.segs.contains_key(&we) {
-                if let Some((&k, _)) = self.segs.range(we..).next() {
-                    hi = k;
-                }
-            }
-            // Then follow whole segments rightward while the depth holds up.
-            let mut steps = 0;
-            while steps < cap {
-                match self.segs.get(&hi) {
-                    Some(&seg_depth) if seg_depth >= d => {
-                        match self
-                            .segs
-                            .range((std::ops::Bound::Excluded(hi), std::ops::Bound::Unbounded))
-                            .next()
-                        {
-                            Some((&next, _)) => {
-                                hi = next;
-                                steps += 1;
-                            }
-                            None => break,
-                        }
+            // depth the walk already inspected) belongs to the run unconditionally;
+            // then follow whole segments rightward while the depth holds up.
+            let mut rest = self.segs.range(we..);
+            if let Some((&first, &first_depth)) = rest.next() {
+                hi = first;
+                let mut seg_depth = first_depth;
+                for (&next, &next_depth) in rest.take(cap) {
+                    if seg_depth < d {
+                        break;
                     }
-                    _ => break,
+                    hi = next;
+                    seg_depth = next_depth;
                 }
             }
         }
@@ -564,11 +516,15 @@ impl DisjointIntervalSet {
     /// Does any member overlap `iv` (intersection of positive length)?
     pub fn conflicts(&self, iv: Interval) -> bool {
         // The only candidate is the member with the largest start strictly before
-        // iv's end; every earlier member ends at or before that one's start.
-        self.map
-            .range(..iv.end().ticks())
-            .next_back()
-            .is_some_and(|(_, &end)| end > iv.start().ticks())
+        // iv's end; every earlier member ends at or before that one's start.  The
+        // last member is that candidate whenever it starts before iv ends, which
+        // near-monotone placement makes the common case.
+        let (s, e) = (iv.start().ticks(), iv.end().ticks());
+        let candidate = match self.map.last_key_value() {
+            Some((&start, &end)) if start < e => Some(end),
+            _ => self.map.range(..e).next_back().map(|(_, &end)| end),
+        };
+        candidate.is_some_and(|end| end > s)
     }
 
     /// Insert `iv` if it conflicts with no member; returns whether it was inserted.
@@ -634,14 +590,18 @@ mod tests {
     fn sweep_set_insert_remove_roundtrip() {
         let mut s = SweepSet::new();
         assert_eq!(s.interval_count(), 0);
-        assert_eq!(s.insert(iv(0, 10)), Duration::new(10));
-        assert_eq!(s.insert(iv(5, 15)), Duration::new(5));
-        assert_eq!(s.insert(iv(20, 25)), Duration::new(5));
+        assert_eq!(s.insert(iv(0, 10)), (Duration::new(10), 1));
+        assert_eq!(s.insert(iv(5, 15)), (Duration::new(5), 2));
+        assert_eq!(s.insert(iv(20, 25)), (Duration::new(5), 1));
         assert_eq!(s.max_depth(), 2);
         assert_eq!(s.span(), Duration::new(20));
         assert_eq!(s.covered_len(iv(8, 22)), Duration::new(9));
-        assert!(s.overlaps(iv(14, 16)));
-        assert!(!s.overlaps(iv(15, 20)), "gap between the stretches");
+        assert_eq!(s.covered_len(iv(14, 16)), Duration::new(1));
+        assert_eq!(
+            s.covered_len(iv(15, 20)),
+            Duration::ZERO,
+            "gap between the stretches"
+        );
 
         assert_eq!(s.remove(iv(0, 10)), Duration::new(5));
         assert_eq!(s.max_depth(), 1);
@@ -659,8 +619,8 @@ mod tests {
         let mut s = SweepSet::new();
         s.insert(iv(0, 4));
         s.insert(iv(8, 12));
-        // [2, 10) adds only the uncovered middle [4, 8).
-        assert_eq!(s.insert(iv(2, 10)), Duration::new(4));
+        // [2, 10) adds only the uncovered middle [4, 8), and peaks at depth 2.
+        assert_eq!(s.insert(iv(2, 10)), (Duration::new(4), 2));
         assert_eq!(s.span(), Duration::new(12));
         assert_eq!(s.max_depth(), 2);
     }
@@ -727,6 +687,32 @@ mod tests {
         t.insert(iv(5, 11));
         assert_eq!(t.widest_run_at_least(2, iv(0, 20), 64), Some(iv(5, 11)));
         assert_eq!(t.widest_run_at_least(2, iv(1, 2), 64), Some(iv(0, 3)));
+    }
+
+    #[test]
+    fn widest_run_extension_stops_at_the_cap() {
+        // 200 touching unit intervals: a depth-1 run over [0, 200) made of 200
+        // segments, one boundary per tick.
+        let mut s = SweepSet::new();
+        for t in 0..200 {
+            s.insert(iv(t, t + 1));
+        }
+        // Rightward from the window's edge at 1: the 64th boundary past it is 65.
+        assert_eq!(s.widest_run_at_least(1, iv(0, 1), 64), Some(iv(0, 65)));
+        // Leftward from the window's edge at 199: the 64th boundary before it is 135.
+        assert_eq!(
+            s.widest_run_at_least(1, iv(199, 200), 64),
+            Some(iv(135, 200))
+        );
+        // Both ways at once, and an uncapped walk reaches the true ends.
+        assert_eq!(
+            s.widest_run_at_least(1, iv(100, 101), 64),
+            Some(iv(36, 165))
+        );
+        assert_eq!(
+            s.widest_run_at_least(1, iv(100, 101), 1_000),
+            Some(iv(0, 200))
+        );
     }
 
     #[test]

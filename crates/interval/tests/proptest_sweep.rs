@@ -5,7 +5,8 @@
 
 use busytime_interval::{
     classify, classify_sorted, connected_components, connected_components_sorted, depth_profile,
-    max_overlap, span, union, DepthProfile, Duration, Interval, SortedSweep, SweepSet, Time,
+    max_overlap, span, union, DepthProfile, DisjointIntervalSet, Duration, Interval, SortedSweep,
+    SweepSet, Time,
 };
 use proptest::prelude::*;
 
@@ -122,6 +123,32 @@ proptest! {
         }
     }
 
+    /// The peak `SweepSet::insert` reports is the largest depth over the inserted
+    /// window, counted tick by tick over the live intervals, and the segment scan of
+    /// `max_depth` still equals a fresh profile's, across insertions and removals.
+    #[test]
+    fn sweep_set_insert_peak_matches_brute_force_under_churn(
+        set in interval_vec(14),
+        removals in prop::collection::vec(any::<bool>(), 14),
+    ) {
+        let mut sweep = SweepSet::new();
+        let mut live: Vec<Interval> = Vec::new();
+        for (i, &iv) in set.iter().enumerate() {
+            let (_, peak) = sweep.insert(iv);
+            live.push(iv);
+            let brute = (iv.start().ticks()..iv.end().ticks())
+                .map(|t| live.iter().filter(|v| v.contains_point(Time::new(t))).count())
+                .max()
+                .unwrap_or(0);
+            prop_assert_eq!(peak, brute, "insert {}", iv);
+            if removals.get(i).copied().unwrap_or(false) {
+                let victim = live.remove(i % live.len());
+                sweep.remove(victim);
+            }
+            prop_assert_eq!(sweep.max_depth(), DepthProfile::new(&live).max_depth());
+        }
+    }
+
     /// `SweepSet` marginal insertion cost is the uncovered part of the window, i.e.
     /// the span increase a from-scratch recomputation would report.
     #[test]
@@ -132,7 +159,34 @@ proptest! {
             let before = span(&live);
             live.push(iv);
             let after = span(&live);
-            prop_assert_eq!(sweep.insert(iv), after - before);
+            prop_assert_eq!(sweep.insert(iv).0, after - before);
+        }
+    }
+
+    /// `DisjointIntervalSet::conflicts` ≡ "some member overlaps the probe", for probes
+    /// before, among and after the members, across insertions and removals.
+    #[test]
+    fn disjoint_set_conflicts_match_brute_force_under_churn(
+        set in interval_vec(14),
+        removals in prop::collection::vec(any::<bool>(), 14),
+        probes in prop::collection::vec(interval_strategy(), 1..6),
+    ) {
+        let mut thread = DisjointIntervalSet::new();
+        let mut members: Vec<Interval> = Vec::new();
+        for (i, &iv) in set.iter().enumerate() {
+            let free = !members.iter().any(|m| m.overlaps(&iv));
+            prop_assert_eq!(thread.insert(iv), free);
+            if free {
+                members.push(iv);
+            }
+            if removals.get(i).copied().unwrap_or(false) && !members.is_empty() {
+                let victim = members.remove(i % members.len());
+                prop_assert!(thread.remove(victim));
+            }
+            for &probe in &probes {
+                let brute = members.iter().any(|m| m.overlaps(&probe));
+                prop_assert_eq!(thread.conflicts(probe), brute, "probe {}", probe);
+            }
         }
     }
 

@@ -299,6 +299,7 @@ fn killed_shards_respawn_and_converge_to_the_oracle() {
 #[test]
 fn dropped_connections_heal_into_the_fault_free_report() {
     let jobs = 80usize;
+    let depth = 8usize;
     for seed in seeds() {
         for framing in [Framing::Ndjson, Framing::Binary] {
             let (trace, policy) = tenant_trace(seed, 0, jobs);
@@ -310,9 +311,12 @@ fn dropped_connections_heal_into_the_fault_free_report() {
             config.faults = Some(FaultPlan::new(FaultSpec {
                 conn_drops: 3,
                 slow_writes: 2,
-                // Flush occurrences are plentiful under pipelining; keep the
-                // horizon low enough that every planned drop fires.
-                horizon: (jobs / 2) as u64,
+                // The server flushes once per drained read batch, and a drive
+                // keeps at most `depth` requests unanswered, so one flush answers
+                // at most `depth` of them: a drive of `events` requests makes at
+                // least `events / depth` flushes.  Drawing the drops from that
+                // guaranteed range makes every planned drop fire.
+                horizon: (trace.events.len() / depth) as u64,
                 ..FaultSpec::quiet(seed)
             }));
             let registry = Registry::with_config(config).unwrap();
@@ -327,7 +331,7 @@ fn dropped_connections_heal_into_the_fault_free_report() {
             let mut client =
                 Client::connect_resilient(server.addr(), framing, policy_retry).unwrap();
             let report = client
-                .drive_trace_pipelined(&format!("conn-{seed}"), &trace, policy, 8)
+                .drive_trace_pipelined(&format!("conn-{seed}"), &trace, policy, depth)
                 .unwrap_or_else(|e| {
                     panic!("seed {seed} {}: healing drive failed: {e}", framing.name())
                 });

@@ -1,7 +1,7 @@
 //! The small-`n` regression guard: PR 2's kernel lost to the naive scan at `n ≤ 1000`
 //! (0.30–0.79× in `BENCH_scaling.json`), so the adaptive dispatch exists precisely to
-//! erase those cells.  This test pins that at the sizes where the scan wins the
-//! dispatch (a) routes to the scan and (b) measures at parity or better against the
+//! erase those cells.  This test pins that at these sizes the dispatch (a) routes to
+//! the side the calibration expects and (b) measures at parity or better against the
 //! best of {scan, kernel}.
 //!
 //! Timing assertions in a test suite need care: the adaptive path *is* one of the two
@@ -64,11 +64,14 @@ fn adaptive_dispatch_at_least_parity_at_small_n() {
         for (shape, max_len, max_gap) in [("sparse", 8i64, 10i64), ("dense", 40, 8)] {
             let mut rng = StdRng::seed_from_u64(2012);
             let instance = proper_instance(&mut rng, n, 10, max_len, max_gap);
-            // Structural half: these sizes sit below every cutover threshold, so the
-            // dispatch must route to the scan…
-            assert!(
-                !tuning::first_fit_use_kernel(&instance),
-                "n = {n} {shape}: expected the scan side of the cutover"
+            // Structural half: these sizes sit below every cutover threshold except
+            // n = 1000 dense, which the dense threshold routes to the kernel…
+            let kernel = n == 1_000 && shape == "dense";
+            assert_eq!(
+                tuning::first_fit_use_kernel(&instance),
+                kernel,
+                "n = {n} {shape}: expected the {} side of the cutover",
+                if kernel { "kernel" } else { "scan" }
             );
             // …and the timing half: at parity or better against the best path.
             assert_adaptive_at_parity(&instance, &format!("n = {n} {shape}"));
