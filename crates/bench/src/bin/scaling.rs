@@ -55,7 +55,7 @@ use std::time::Instant;
 
 use busytime::maxthroughput::{greedy_fallback, greedy_fallback_scan};
 use busytime::minbusy::{
-    first_fit, first_fit_in_order, first_fit_in_order_adaptive, first_fit_in_order_scan,
+    first_fit, first_fit_in_order, first_fit_in_order_kernel, first_fit_in_order_scan,
 };
 use busytime::online::{OnlinePolicy, OnlineScheduler, Trace};
 use busytime::par::ThreadPool;
@@ -349,6 +349,25 @@ fn time_trials<T>(trials: usize, mut f: impl FnMut() -> T) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// The median seconds of three paths over `trials` interleaved trials.  Path `k` runs
+/// in position `(trial + k) % 3`, so no path is always timed right after the same
+/// one: a FirstFit run right after another path's can read slower.
+fn time_rotated<T>(trials: usize, paths: [&dyn Fn() -> T; 3]) -> [f64; 3] {
+    let mut samples: [Vec<f64>; 3] = Default::default();
+    for trial in 0..trials {
+        for position in 0..3 {
+            let k = (position + 3 - trial % 3) % 3;
+            let t = Instant::now();
+            std::hint::black_box(paths[k]());
+            samples[k].push(t.elapsed().as_secs_f64());
+        }
+    }
+    samples.map(|mut s| {
+        s.sort_by(f64::total_cmp);
+        s[s.len() / 2]
+    })
+}
+
 /// Quadratic extrapolation of a baseline measurement to a larger size; `None` when no
 /// smaller measurement exists yet (the first size is always attempted).
 fn predict_quadratic(last: Option<(usize, f64)>, n: usize) -> Option<f64> {
@@ -432,10 +451,14 @@ fn main() {
                 // old retry-until-parity loop hid the noise floor by keeping only the
                 // best attempt; the honest median goes in the record and the `--check`
                 // gate absorbs the residual jitter with ADAPTIVE_PARITY_TOLERANCE.
-                let kernel = time_trials(trials, || first_fit_in_order(&instance, order));
-                let scan = time_trials(trials, || first_fit_in_order_scan(&instance, order));
-                let adaptive =
-                    time_trials(trials, || first_fit_in_order_adaptive(&instance, order));
+                let [kernel, scan, adaptive] = time_rotated(
+                    trials,
+                    [
+                        &|| first_fit_in_order_kernel(&instance, order),
+                        &|| first_fit_in_order_scan(&instance, order),
+                        &|| first_fit_in_order(&instance, order),
+                    ],
+                );
                 let ratio = scan.min(kernel) / adaptive;
                 Row {
                     bench: name(bench),

@@ -71,12 +71,6 @@ impl std::fmt::Display for ScheduleSummary {
     }
 }
 
-/// Compare a measured cost against the cost of a reference (usually optimal) schedule.
-/// Returns `measured / reference` with the conventions of [`ratio`].
-pub fn ratio_vs_reference(measured: Duration, reference: Duration) -> f64 {
-    ratio(measured, reference)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,10 +96,5 @@ mod tests {
         let summary = ScheduleSummary::new(&inst, &Schedule::empty(0));
         assert_eq!(summary.ratio_vs_lower_bound, 1.0);
         assert_eq!(summary.saving_fraction, 0.0);
-    }
-
-    #[test]
-    fn ratio_vs_reference_is_plain_division() {
-        assert_eq!(ratio_vs_reference(Duration::new(6), Duration::new(4)), 1.5);
     }
 }

@@ -53,10 +53,10 @@
 //! | module | contents |
 //! |---|---|
 //! | [`solver`] | the [`Solver`] / [`Problem`] / [`Solution`] facade with policy-driven dispatch |
-//! | [`machine`] | incremental [`MachineState`] / [`MachinePool`] / [`ScheduleBuilder`] powering the greedy placements |
+//! | [`machine`] | incremental [`MachineState`] / [`MachinePool`]: the one placement engine of the greedies and the online scheduler |
 //! | [`online`] | the event-driven [`OnlineScheduler`] maintaining a live schedule under arrivals and departures |
 //! | [`placement`] | the global [`PlacementIndex`] selecting machines in `O(log m)` |
-//! | [`tuning`] | calibrated scan/kernel cutover thresholds for adaptive dispatch |
+//! | [`tuning`] | calibrated scan/kernel cutover thresholds behind [`minbusy::first_fit_in_order`] |
 //! | [`minbusy`] | every MinBusy algorithm of Section 3 plus baselines |
 //! | [`maxthroughput`] | every MaxThroughput algorithm of Section 4 plus the reductions of Section 2 |
 //! | [`twodim`] | rectangular jobs, FirstFit-2D and BucketFirstFit (Section 3.4) |
@@ -92,7 +92,7 @@ pub mod twodim;
 pub use busytime_interval::{Duration, Interval, Time};
 pub use error::Error;
 pub use instance::{Instance, JobId};
-pub use machine::{MachinePool, MachineState, Placement, ScheduleBuilder};
+pub use machine::{MachinePool, MachineState, Placement};
 pub use online::{OnlinePolicy, OnlineRun, OnlineScheduler, OnlineSnapshot};
 pub use placement::{MachineDigest, PlacementIndex};
 pub use report::{ScheduleReport, SimulationReport};

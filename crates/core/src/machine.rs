@@ -17,32 +17,34 @@
 //! [`PlacementIndex`], keeping the per-machine digests and the total busy time
 //! incrementally consistent across insertions *and removals* — a machine whose load
 //! drops below `g` becomes placeable again through an `O(log m)` digest refresh, never
-//! an index rebuild.  The pool is the shared engine of both the offline
-//! [`ScheduleBuilder`] (which adds the [`crate::instance::Instance`]/
-//! [`crate::schedule::Schedule`] bookkeeping) and the event-driven
-//! [`crate::online::OnlineScheduler`].
+//! an index rebuild.  The pool is the one placement engine: the offline greedies (the
+//! kernel side of `minbusy::first_fit`, `maxthroughput::greedy_fallback`) keep a
+//! [`crate::Schedule`] beside it, and the event-driven [`crate::online::OnlineScheduler`]
+//! drives it the same way.
 //!
 //! ```
-//! use busytime::machine::ScheduleBuilder;
-//! use busytime::{Duration, Instance};
+//! use busytime::machine::MachinePool;
+//! use busytime::{Duration, Instance, Schedule};
 //!
 //! let instance = Instance::from_ticks(&[(0, 10), (2, 12), (4, 14), (20, 25)], 2);
-//! let mut builder = ScheduleBuilder::new(&instance);
+//! let mut pool = MachinePool::new(instance.capacity());
+//! let mut schedule = Schedule::empty(instance.len());
 //! for job in 0..instance.len() {
-//!     builder.place_first_fit(job);
+//!     let iv = instance.job(job);
+//!     let (machine, thread) = pool.first_fit_slot(iv);
+//!     pool.insert(iv, machine, thread);
+//!     schedule.assign(job, machine);
 //! }
 //! // Machine 0 runs [0,10), [2,12) and [20,25); machine 1 runs [4,14).
-//! assert_eq!(builder.cost(), Duration::new((12 + 5) + 10)); // tracked live
-//! let schedule = builder.finish();
+//! assert_eq!(pool.cost(), Duration::new((12 + 5) + 10)); // tracked live
 //! schedule.validate_complete(&instance).unwrap();
 //! assert_eq!(schedule.cost(&instance), Duration::new(27));
 //! ```
 
 use busytime_interval::{DisjointIntervalSet, Duration, Interval, SweepSet};
 
-use crate::instance::{Instance, JobId};
 use crate::placement::{MachineDigest, PlacementIndex};
-use crate::schedule::{MachineId, Schedule};
+use crate::schedule::MachineId;
 
 /// The live occupancy of one machine: `g` threads of execution plus a coverage profile
 /// over the whole machine.
@@ -245,13 +247,13 @@ pub struct Placement {
 /// A growable pool of [`MachineState`]s behind the global [`PlacementIndex`], with the
 /// total busy time maintained incrementally.
 ///
-/// The pool is the machine-selection engine shared by the offline [`ScheduleBuilder`]
-/// and the event-driven [`crate::online::OnlineScheduler`]: committing or removing a
-/// job refreshes the machine's digest in the index (`O(log m)`), and the first-fit /
+/// The pool is the machine-selection engine shared by the offline greedies and the
+/// event-driven [`crate::online::OnlineScheduler`]: committing or removing a job
+/// refreshes the machine's digest in the index (`O(log m)`), and the first-fit /
 /// best-fit queries descend the index instead of scanning a flat summary array.  The
 /// pre-index linear scans survive as [`MachinePool::first_fit_slot_linear`] and
-/// [`MachinePool::best_fit_slot_linear`] — equivalence baselines for the property tests
-/// and the calibration benchmarks.
+/// [`MachinePool::best_fit_slot_linear`] — equivalence baselines for the property
+/// tests.
 ///
 /// ```
 /// use busytime::machine::MachinePool;
@@ -367,10 +369,8 @@ impl MachinePool {
     /// The linear-scan first fit: identical placement rule and result as
     /// [`MachinePool::first_fit_slot`], probing every machine digest in order.
     ///
-    /// Kept as the equivalence baseline for the placement index (property tests pin
-    /// the two paths together) and as the faster choice on very small pools, where the
-    /// adaptive dispatch in [`crate::minbusy::first_fit_in_order`] routes placements
-    /// through the plain scan instead.
+    /// Kept as the equivalence baseline for the placement index: property tests pin the
+    /// two paths together.  No production path calls it.
     pub fn first_fit_slot_linear(&self, iv: Interval) -> (MachineId, usize) {
         let (s, e) = (iv.start().ticks(), iv.end().ticks());
         for (m, digest) in self.index.digests().iter().enumerate() {
@@ -554,97 +554,10 @@ impl MachinePool {
     }
 }
 
-/// Builds a schedule one placement at a time over a growing [`MachinePool`], with the
-/// total busy time maintained incrementally.
-///
-/// This is the offline face of the pool — it adds the [`Instance`] job lookup and the
-/// [`Schedule`] assignment bookkeeping on top of [`MachinePool`]'s machine selection;
-/// it is the engine behind `minbusy::first_fit` and `maxthroughput::greedy_fallback`.
-#[derive(Debug, Clone)]
-pub struct ScheduleBuilder<'a> {
-    instance: &'a Instance,
-    pool: MachinePool,
-    schedule: Schedule,
-}
-
-impl<'a> ScheduleBuilder<'a> {
-    /// Start an empty schedule for `instance`.
-    pub fn new(instance: &'a Instance) -> Self {
-        ScheduleBuilder {
-            instance,
-            pool: MachinePool::new(instance.capacity()),
-            schedule: Schedule::empty(instance.len()),
-        }
-    }
-
-    /// The machines opened so far.
-    pub fn machines(&self) -> &[MachineState] {
-        self.pool.machines()
-    }
-
-    /// The live placement index over the machine pool.
-    pub fn placement_index(&self) -> &PlacementIndex {
-        self.pool.index()
-    }
-
-    /// The running total busy time of all machines.
-    pub fn cost(&self) -> Duration {
-        self.pool.cost()
-    }
-
-    /// Place `job` on the first thread of the first machine that can run it without a
-    /// conflict, opening a fresh machine when none can (FirstFit's placement rule).
-    /// Returns the chosen machine.  See [`MachinePool::first_fit_slot`].
-    pub fn place_first_fit(&mut self, job: JobId) -> MachineId {
-        let iv = self.instance.job(job);
-        let (machine, thread) = self.pool.first_fit_slot(iv);
-        self.commit(job, machine, thread);
-        machine
-    }
-
-    /// The linear-scan first fit: identical placement rule and result as
-    /// [`ScheduleBuilder::place_first_fit`], probing every machine digest in order.
-    /// See [`MachinePool::first_fit_slot_linear`].
-    pub fn place_first_fit_linear(&mut self, job: JobId) -> MachineId {
-        let iv = self.instance.job(job);
-        let (machine, thread) = self.pool.first_fit_slot_linear(iv);
-        self.commit(job, machine, thread);
-        machine
-    }
-
-    /// The cheapest placement for `job`: the earliest (machine, thread) whose busy-time
-    /// increase is strictly smallest, falling back to a fresh machine at full job
-    /// length when no existing machine can run the job.  See
-    /// [`MachinePool::best_fit_slot`].
-    pub fn best_fit(&self, job: JobId) -> Placement {
-        self.pool.best_fit_slot(self.instance.job(job))
-    }
-
-    /// The linear-scan best fit: identical result as [`ScheduleBuilder::best_fit`],
-    /// probing every machine digest in order (the pre-index reference path).
-    pub fn best_fit_linear(&self, job: JobId) -> Placement {
-        self.pool.best_fit_slot_linear(self.instance.job(job))
-    }
-
-    /// Apply a placement (from [`ScheduleBuilder::best_fit`] or chosen by the caller),
-    /// opening the machine if it does not exist yet.  The machine's digest in the
-    /// placement index is refreshed in the same step, keeping the index exactly
-    /// consistent with the pool.
-    pub fn commit(&mut self, job: JobId, machine: MachineId, thread: usize) {
-        let iv = self.instance.job(job);
-        self.pool.insert(iv, machine, thread);
-        self.schedule.assign(job, machine);
-    }
-
-    /// Finish building and return the schedule.
-    pub fn finish(self) -> Schedule {
-        self.schedule
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Instance, JobId, Schedule};
 
     fn iv(s: i64, c: i64) -> Interval {
         Interval::from_ticks(s, c)
@@ -788,16 +701,30 @@ mod tests {
         assert_eq!(pool.migrate(iv(8, 14), 0, 1), None);
     }
 
+    /// Place `job` the way the offline greedies do: the pool picks the slot, the
+    /// schedule records the machine.
+    fn commit(
+        pool: &mut MachinePool,
+        schedule: &mut Schedule,
+        instance: &Instance,
+        job: JobId,
+        (machine, thread): (MachineId, usize),
+    ) {
+        pool.insert(instance.job(job), machine, thread);
+        schedule.assign(job, machine);
+    }
+
     #[test]
     fn first_fit_placement_fills_threads_then_machines() {
         let instance = Instance::from_ticks(&[(0, 10); 4], 2);
-        let mut b = ScheduleBuilder::new(&instance);
-        assert_eq!(b.place_first_fit(0), 0);
-        assert_eq!(b.place_first_fit(1), 0);
-        assert_eq!(b.place_first_fit(2), 1);
-        assert_eq!(b.place_first_fit(3), 1);
-        assert_eq!(b.cost(), Duration::new(20));
-        let s = b.finish();
+        let mut pool = MachinePool::new(instance.capacity());
+        let mut s = Schedule::empty(instance.len());
+        for (job, machine) in [(0, 0), (1, 0), (2, 1), (3, 1)] {
+            let slot = pool.first_fit_slot(instance.job(job));
+            assert_eq!(slot.0, machine, "job {job}");
+            commit(&mut pool, &mut s, &instance, job, slot);
+        }
+        assert_eq!(pool.cost(), Duration::new(20));
         s.validate_complete(&instance).unwrap();
     }
 
@@ -805,9 +732,11 @@ mod tests {
     fn best_fit_prefers_overlap_coverage() {
         // Machine 0 holds [0, 10); placing [8, 14) there costs only 4.
         let instance = Instance::from_ticks(&[(0, 10), (8, 14)], 2);
-        let mut b = ScheduleBuilder::new(&instance);
-        b.place_first_fit(0);
-        let p = b.best_fit(1);
+        let mut pool = MachinePool::new(instance.capacity());
+        let mut s = Schedule::empty(instance.len());
+        let slot = pool.first_fit_slot(instance.job(0));
+        commit(&mut pool, &mut s, &instance, 0, slot);
+        let p = pool.best_fit_slot(instance.job(1));
         assert_eq!(
             p,
             Placement {
@@ -816,16 +745,18 @@ mod tests {
                 delta: Duration::new(4)
             }
         );
-        b.commit(1, p.machine, p.thread);
-        assert_eq!(b.cost(), Duration::new(14));
+        commit(&mut pool, &mut s, &instance, 1, (p.machine, p.thread));
+        assert_eq!(pool.cost(), Duration::new(14));
     }
 
     #[test]
     fn best_fit_opens_machine_when_nothing_fits() {
         let instance = Instance::from_ticks(&[(0, 10), (0, 10)], 1);
-        let mut b = ScheduleBuilder::new(&instance);
-        b.place_first_fit(0);
-        let p = b.best_fit(1);
+        let mut pool = MachinePool::new(instance.capacity());
+        let mut s = Schedule::empty(instance.len());
+        let slot = pool.first_fit_slot(instance.job(0));
+        commit(&mut pool, &mut s, &instance, 0, slot);
+        let p = pool.best_fit_slot(instance.job(1));
         assert_eq!(p.machine, 1);
         assert_eq!(p.delta, Duration::new(10));
     }
@@ -834,14 +765,13 @@ mod tests {
     fn builder_cost_matches_schedule_cost() {
         let instance =
             Instance::from_ticks(&[(0, 4), (1, 5), (3, 9), (10, 12), (11, 15), (2, 6)], 2);
-        let mut b = ScheduleBuilder::new(&instance);
+        let mut pool = MachinePool::new(instance.capacity());
+        let mut s = Schedule::empty(instance.len());
         for job in 0..instance.len() {
-            let p = b.best_fit(job);
-            b.commit(job, p.machine, p.thread);
+            let p = pool.best_fit_slot(instance.job(job));
+            commit(&mut pool, &mut s, &instance, job, (p.machine, p.thread));
         }
-        let tracked = b.cost();
-        let s = b.finish();
-        assert_eq!(s.cost(&instance), tracked);
+        assert_eq!(s.cost(&instance), pool.cost());
         s.validate_complete(&instance).unwrap();
     }
 }

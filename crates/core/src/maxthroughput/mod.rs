@@ -34,6 +34,7 @@ pub use weighted::{weighted_throughput_proper_clique, WeightedThroughputResult};
 use busytime_interval::Duration;
 
 use crate::instance::Instance;
+use crate::machine::MachinePool;
 use crate::schedule::{Schedule, ThroughputResult};
 
 /// Heuristic for instances outside the paper's analysed classes: consider jobs shortest
@@ -42,22 +43,25 @@ use crate::schedule::{Schedule, ThroughputResult};
 /// skipping any job whose placement would push the total cost above the budget.  Always
 /// valid and within budget; no approximation guarantee.
 ///
-/// Placement and pricing go through the incremental [`crate::machine::ScheduleBuilder`]:
-/// each machine answers "does the job fit, and what does it add to my busy time?" from
-/// its live occupancy profile instead of re-unioning its whole job list per candidate
-/// (see `greedy_fallback_scan` for the pre-kernel reference).
+/// Placement and pricing go through a [`MachinePool`]: each machine answers "does the
+/// job fit, and what does it add to my busy time?" from its live occupancy profile
+/// instead of re-unioning its whole job list per candidate (see `greedy_fallback_scan`
+/// for the pre-kernel reference).
 pub fn greedy_fallback(instance: &Instance, budget: Duration) -> ThroughputResult {
-    let mut builder = crate::machine::ScheduleBuilder::new(instance);
+    let mut pool = MachinePool::new(instance.capacity());
+    let mut schedule = Schedule::empty(instance.len());
     // Shortest-first is the instance's cached length order — no per-call re-sort.
     for &j in instance.order_by_length_asc() {
         let j = j as usize;
-        let placement = builder.best_fit(j);
-        if builder.cost() + placement.delta > budget {
+        let iv = instance.job(j);
+        let placement = pool.best_fit_slot(iv);
+        if pool.cost() + placement.delta > budget {
             continue;
         }
-        builder.commit(j, placement.machine, placement.thread);
+        pool.insert(iv, placement.machine, placement.thread);
+        schedule.assign(j, placement.machine);
     }
-    ThroughputResult::new(builder.finish(), instance)
+    ThroughputResult::new(schedule, instance)
 }
 
 /// The pre-kernel best-fit greedy: identical placement rule and results, but every

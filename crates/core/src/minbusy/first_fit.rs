@@ -9,7 +9,7 @@
 use busytime_interval::Interval;
 
 use crate::instance::Instance;
-use crate::machine::ScheduleBuilder;
+use crate::machine::MachinePool;
 use crate::schedule::Schedule;
 use crate::tuning;
 
@@ -18,66 +18,65 @@ use crate::tuning;
 /// Valid for every instance (no structural precondition); a 4-approximation on general
 /// instances by the analysis of \[13\].
 ///
-/// The length order is the instance's cached one (no per-call re-sort) and placement
-/// goes through [`first_fit_in_order_adaptive`], so small instances run the plain scan
-/// and large ones the kernel + placement index.
+/// The length order is the instance's cached one (no per-call re-sort); placement is
+/// that of [`first_fit_in_order`].
 pub fn first_fit(instance: &Instance) -> Schedule {
-    place_adaptive(
+    place(
         instance,
         instance.order_by_length_desc().iter().map(|&j| j as usize),
     )
 }
 
-/// FirstFit considering the jobs in the given explicit order (used by tests and by the
-/// bucketed 2-D variant's 1-D counterpart).
+/// FirstFit considering the jobs in the given explicit order.
 ///
-/// Placement goes through the incremental [`ScheduleBuilder`] and the global
-/// [`crate::placement::PlacementIndex`]: each conflict test is a logarithmic probe of
-/// the machine's live occupancy and runs of provably-full machines are skipped in
-/// `O(log m)`, which is what makes FirstFit usable at the scales the experiment
-/// harness runs (see `first_fit_in_order_scan` for the pre-kernel reference and
-/// [`first_fit_in_order_adaptive`] for the size-aware entry point).
+/// This is FirstFit's one door ([`first_fit`] makes the same choice):
+/// [`tuning::first_fit_use_kernel`] picks the plain per-thread scan (whose constant
+/// factors win at small `n`) or the sweep kernel + [`crate::placement::PlacementIndex`]
+/// (logarithmic conflict probes, runs of provably-full machines skipped in
+/// `O(log m)`).  Both sides implement the identical placement rule, so the schedule
+/// does not depend on which one ran.
 pub fn first_fit_in_order(instance: &Instance, order: &[usize]) -> Schedule {
-    let mut builder = ScheduleBuilder::new(instance);
-    for &j in order {
-        builder.place_first_fit(j);
-    }
-    builder.finish()
+    place(instance, order.iter().copied())
 }
 
-/// FirstFit in an explicit order with the scan/kernel cutover applied: instances below
-/// the calibrated thresholds of [`crate::tuning`] run the plain per-thread scan (whose
-/// constant factors win at small `n`), larger or denser ones the kernel + placement
-/// index.  Both paths implement the identical placement rule, so the schedule does not
-/// depend on which one ran.
-pub fn first_fit_in_order_adaptive(instance: &Instance, order: &[usize]) -> Schedule {
+/// The scan/kernel choice shared by [`first_fit`] and [`first_fit_in_order`], over any
+/// job-id stream (so the cached `u32` length order needs no `usize` vector).
+fn place(instance: &Instance, order: impl Iterator<Item = usize>) -> Schedule {
     if tuning::first_fit_use_kernel(instance) {
-        first_fit_in_order(instance, order)
-    } else {
-        first_fit_in_order_scan(instance, order)
-    }
-}
-
-/// Shared adaptive driver over any job-id stream (lets [`first_fit`] feed the cached
-/// `u32` length order straight through without materializing a `usize` vector).
-fn place_adaptive(instance: &Instance, order: impl Iterator<Item = usize>) -> Schedule {
-    if tuning::first_fit_use_kernel(instance) {
-        let mut builder = ScheduleBuilder::new(instance);
-        for j in order {
-            builder.place_first_fit(j);
-        }
-        builder.finish()
+        kernel_impl(instance, order)
     } else {
         scan_impl(instance, order)
     }
 }
 
+/// FirstFit on the sweep kernel at every size: each job goes to
+/// [`MachinePool::first_fit_slot`].
+///
+/// Kept as the kernel half of the equivalence checks (property tests pin this function
+/// `==` [`first_fit_in_order_scan`]) and as the kernel column of the `scaling`
+/// benchmark's FirstFit rows.  Real workloads call [`first_fit_in_order`].
+pub fn first_fit_in_order_kernel(instance: &Instance, order: &[usize]) -> Schedule {
+    kernel_impl(instance, order.iter().copied())
+}
+
+fn kernel_impl(instance: &Instance, order: impl Iterator<Item = usize>) -> Schedule {
+    let mut pool = MachinePool::new(instance.capacity());
+    let mut schedule = Schedule::empty(instance.len());
+    for j in order {
+        let iv = instance.job(j);
+        let (machine, thread) = pool.first_fit_slot(iv);
+        pool.insert(iv, machine, thread);
+        schedule.assign(j, machine);
+    }
+    schedule
+}
+
 /// The pre-kernel FirstFit: identical placement rule and results, but every conflict
 /// test scans the candidate thread's whole job list.
 ///
-/// Kept as the equivalence baseline for the kernel (property tests pin
-/// `first_fit_in_order ==` this function) and as the "before" side of the scaling
-/// benchmarks recorded in `BENCH_scaling.json`.  Do not use it for real workloads.
+/// Kept as the scan half of the equivalence checks (property tests pin
+/// [`first_fit_in_order_kernel`] `==` this function) and as the scan column of the
+/// `scaling` benchmark's FirstFit rows.  Real workloads call [`first_fit_in_order`].
 pub fn first_fit_in_order_scan(instance: &Instance, order: &[usize]) -> Schedule {
     scan_impl(instance, order.iter().copied())
 }
@@ -206,7 +205,7 @@ mod tests {
             let inst = Instance::from_ticks(&jobs, g);
             let order: Vec<usize> = (0..inst.len()).collect();
             assert_eq!(
-                first_fit_in_order(&inst, &order),
+                first_fit_in_order_kernel(&inst, &order),
                 first_fit_in_order_scan(&inst, &order),
                 "g = {g}"
             );

@@ -27,7 +27,7 @@ pub use clique_matching::clique_matching;
 pub use clique_set_cover::{clique_set_cover, set_cover_guarantee, DEFAULT_SET_FAMILY_LIMIT};
 pub use consecutive_dp::{consecutive_partition_dp, find_best_consecutive};
 pub use first_fit::{
-    first_fit, first_fit_in_order, first_fit_in_order_adaptive, first_fit_in_order_scan,
+    first_fit, first_fit_in_order, first_fit_in_order_kernel, first_fit_in_order_scan,
 };
 pub use naive::{greedy_pack, naive};
 pub use one_sided::{one_sided_optimal, one_sided_optimal_cost, schedule_by_length_groups};

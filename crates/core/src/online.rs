@@ -803,11 +803,6 @@ impl Defrag {
         &self.scheduler
     }
 
-    /// Unwrap into the inner scheduler.
-    pub fn into_scheduler(self) -> OnlineScheduler {
-        self.scheduler
-    }
-
     /// Apply one event through the inner policy, then run one budgeted compaction
     /// pass.  Returns the event's effect and the pass's effect; the post-compaction
     /// cost is `compaction.cost`.  Errors leave the schedule untouched (the pass
@@ -1246,7 +1241,7 @@ mod tests {
         assert_eq!(d.budget(), usize::MAX);
         assert_eq!(d.scheduler().cost(), defrag.final_cost());
         assert_eq!(
-            d.into_scheduler().machine_groups(),
+            d.scheduler().machine_groups(),
             defrag.scheduler.machine_groups()
         );
     }

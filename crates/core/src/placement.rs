@@ -1,6 +1,6 @@
 //! The global placement index: O(log m) machine selection for the greedy placements.
 //!
-//! [`crate::machine::ScheduleBuilder`] commits jobs one at a time onto a growing pool of
+//! [`crate::machine::MachinePool`] commits jobs one at a time onto a growing set of
 //! machines.  Before this module, every placement walked a flat per-machine summary
 //! array — O(m) probes per job even when almost every machine provably rejects the
 //! window (its saturated stretch covers it) or provably accepts it (its hull misses it).
@@ -25,12 +25,13 @@
 //! * [`PlacementIndex::first_disjoint`] — the earliest machine whose hull misses the
 //!   window entirely (the cheapest *accept-at-full-length* candidate).
 //!
-//! The index is kept incrementally consistent: [`crate::machine::ScheduleBuilder::commit`] refreshes
-//! one leaf per placement, an `O(log m)` bubble-up.  Machines that pass the index's
-//! filters are still probed against their live [`crate::machine::MachineState`], so
-//! every query is exact — the tree only *skips* machines whose digest already decides
-//! the answer, which is what makes rejection-dominated placement (dense instances
-//! opening thousands of machines) sublinear per job.
+//! The index is kept incrementally consistent: [`crate::machine::MachinePool::insert`]
+//! and [`crate::machine::MachinePool::remove`] refresh one leaf per change, an
+//! `O(log m)` bubble-up.  Machines that pass the index's filters are still probed
+//! against their live [`crate::machine::MachineState`], so every query is exact — the
+//! tree only *skips* machines whose digest already decides the answer, which is what
+//! makes rejection-dominated placement (dense instances opening thousands of machines)
+//! sublinear per job.
 //!
 //! ```
 //! use busytime::placement::{MachineDigest, PlacementIndex};

@@ -69,11 +69,6 @@ impl Schedule {
         self.assignment[job] = Some(machine);
     }
 
-    /// Remove job `job` from the schedule.
-    pub fn unassign(&mut self, job: JobId) {
-        self.assignment[job] = None;
-    }
-
     /// The machine of job `job`, if scheduled.
     pub fn machine_of(&self, job: JobId) -> Option<MachineId> {
         self.assignment.get(job).copied().flatten()
@@ -382,8 +377,6 @@ mod tests {
         let groups = s.machine_groups();
         assert_eq!(groups, vec![vec![0, 3], vec![2]]);
         assert_eq!(s.machines_used(), 2);
-        s.unassign(2);
-        assert_eq!(s.machines_used(), 1);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Calibrated cutover thresholds for the adaptive dispatch tier.
+//! Calibrated cutover thresholds for FirstFit's scan/kernel choice.
 //!
 //! The kernel-backed FirstFit still *loses* to the naive per-thread scan at small
 //! instance sizes (1.05–3.9× slower at `n = 500` on the calibration shapes), because
 //! the incremental profiles and the placement index only amortize once enough
 //! machines and long enough thread histories exist.  Rather than making every caller
-//! pick a path, the 1-D placement entry point
-//! ([`crate::minbusy::first_fit_in_order_adaptive`]) consults this module and cuts
-//! over between the plain scan and the kernel automatically.
+//! pick a path, the 1-D FirstFit entry point ([`crate::minbusy::first_fit_in_order`],
+//! which [`crate::minbusy::first_fit`] shares) consults this module and cuts over
+//! between the plain scan and the kernel automatically.
 //!
 //! The decision uses two `O(1)` facts the instance computes at construction:
 //!

@@ -141,38 +141,31 @@ fn reconstruct(table: &SubsetTable, n: usize, mut mask: usize) -> Schedule {
 /// optimality is proven; call [`bnb::branch_and_bound`] directly to receive the bound
 /// pair instead of a panic.
 pub fn exact_minbusy(instance: &Instance) -> SolveResult {
-    let n = instance.len();
-    if n == 0 {
-        return SolveResult::new(Schedule::empty(0), instance);
-    }
-    if n > MAX_EXACT_JOBS {
-        match bnb::branch_and_bound(instance, &ExactBudget::default()) {
-            ExactOutcome::Optimal { schedule, .. } => return SolveResult::new(schedule, instance),
-            ExactOutcome::Exhausted { lower, upper, .. } => panic!(
-                "branch-and-bound budget exhausted on {n} jobs ({lower} <= OPT <= {upper}); \
-                 call bnb::branch_and_bound for the bound pair"
-            ),
+    let oracle = DefaultExactOracle;
+    let outcome = oracle
+        .solve_min_busy(
+            instance,
+            &ExactBudget::default(),
+            oracle.backend_for(instance),
+        )
+        .expect("backend_for keeps the subset DP within its ceiling");
+    match outcome {
+        ExactOutcome::Optimal { schedule, cost, .. } => {
+            let result = SolveResult::new(schedule, instance);
+            debug_assert_eq!(result.cost, cost);
+            result
         }
+        ExactOutcome::Exhausted { lower, upper, .. } => panic!(
+            "branch-and-bound budget exhausted on {} jobs ({lower} <= OPT <= {upper}); \
+             call bnb::branch_and_bound for the bound pair",
+            instance.len()
+        ),
     }
-    let table = build_table(instance);
-    let full = (1usize << n) - 1;
-    let schedule = reconstruct(&table, n, full);
-    let result = SolveResult::new(schedule, instance);
-    debug_assert_eq!(result.cost.ticks(), table.cost[full]);
-    result
 }
 
-/// The exact optimal MinBusy cost (no schedule reconstruction; same DP/B&B routing as
-/// [`exact_minbusy`]).
+/// The exact optimal MinBusy cost: [`exact_minbusy`]'s cost.
 pub fn exact_minbusy_cost(instance: &Instance) -> Duration {
-    if instance.is_empty() {
-        return Duration::ZERO;
-    }
-    if instance.len() > MAX_EXACT_JOBS {
-        return exact_minbusy(instance).cost;
-    }
-    let table = build_table(instance);
-    Duration::new(table.cost[(1usize << instance.len()) - 1])
+    exact_minbusy(instance).cost
 }
 
 /// Exact MaxThroughput by the same subset table: the largest job set whose optimal cost

@@ -68,42 +68,6 @@ impl OverlapGraph {
     pub fn edges(&self) -> &[WeightedEdge] {
         &self.edges
     }
-
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Is the overlap graph complete (every pair overlaps)?  For interval graphs this is
-    /// equivalent to the job set being a clique set.
-    pub fn is_complete(&self) -> bool {
-        self.n < 2 || self.edges.len() == self.n * (self.n - 1) / 2
-    }
-
-    /// Total edge weight.
-    pub fn total_weight(&self) -> i64 {
-        self.edges.iter().map(|e| e.weight).sum()
-    }
-
-    /// Adjacency list representation: `adj[v]` is the list of `(neighbour, weight)` pairs.
-    pub fn adjacency(&self) -> Vec<Vec<(usize, i64)>> {
-        let mut adj = vec![Vec::new(); self.n];
-        for e in &self.edges {
-            adj[e.u].push((e.v, e.weight));
-            adj[e.v].push((e.u, e.weight));
-        }
-        adj
-    }
-
-    /// Degree of each vertex.
-    pub fn degrees(&self) -> Vec<usize> {
-        let mut deg = vec![0usize; self.n];
-        for e in &self.edges {
-            deg[e.u] += 1;
-            deg[e.v] += 1;
-        }
-        deg
-    }
 }
 
 #[cfg(test)]
@@ -121,26 +85,33 @@ mod tests {
         assert!(is_clique(&set));
         let g = OverlapGraph::build(&set);
         assert_eq!(g.vertex_count(), 4);
-        assert!(g.is_complete());
-        assert_eq!(g.edge_count(), 6);
+        // Every pair overlaps, each listed once in (u, v) order.
+        assert_eq!(
+            g.edges(),
+            [
+                WeightedEdge::new(0, 1, 8),
+                WeightedEdge::new(0, 2, 5),
+                WeightedEdge::new(0, 3, 9),
+                WeightedEdge::new(1, 2, 5),
+                WeightedEdge::new(1, 3, 10),
+                WeightedEdge::new(2, 3, 5),
+            ]
+        );
     }
 
     #[test]
     fn edge_weights_are_overlap_lengths() {
         let set = [iv(0, 10), iv(5, 15), iv(20, 30)];
         let g = OverlapGraph::build(&set);
-        assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.edges()[0], WeightedEdge::new(0, 1, 5));
-        assert!(!g.is_complete());
-        assert_eq!(g.total_weight(), 5);
+        assert_eq!(g.edges(), [WeightedEdge::new(0, 1, 5)]);
     }
 
     #[test]
     fn touching_intervals_are_not_adjacent() {
         let set = [iv(0, 5), iv(5, 10)];
         let g = OverlapGraph::build(&set);
-        assert_eq!(g.edge_count(), 0);
-        assert_eq!(g.degrees(), vec![0, 0]);
+        assert_eq!(g.vertex_count(), 2);
+        assert_eq!(g.edges(), []);
     }
 
     #[test]
@@ -148,28 +119,42 @@ mod tests {
         // [0,6) overlaps both others ([3,6) and [5,6)); [3,9) overlaps [5,12) on [5,9).
         let set = [iv(0, 6), iv(3, 9), iv(5, 12)];
         let g = OverlapGraph::build(&set);
-        let adj = g.adjacency();
-        for (v, neighbours) in adj.iter().enumerate() {
-            for &(u, w) in neighbours {
-                assert!(adj[u].contains(&(v, w)));
-            }
-        }
-        assert_eq!(g.degrees(), vec![2, 2, 2]);
-        assert_eq!(g.edge_count(), 3);
+        assert_eq!(
+            g.edges(),
+            [
+                WeightedEdge::new(0, 1, 3),
+                WeightedEdge::new(0, 2, 1),
+                WeightedEdge::new(1, 2, 4),
+            ]
+        );
+        // Numbered against start order, each pair is still one edge with u < v.
+        let reversed = [iv(5, 12), iv(3, 9), iv(0, 6)];
+        let g = OverlapGraph::build(&reversed);
+        assert_eq!(
+            g.edges(),
+            [
+                WeightedEdge::new(0, 1, 4),
+                WeightedEdge::new(0, 2, 1),
+                WeightedEdge::new(1, 2, 3),
+            ]
+        );
 
         // A chain where the extremes do not overlap.
         let chain = [iv(0, 4), iv(3, 8), iv(7, 12)];
         let g = OverlapGraph::build(&chain);
-        assert_eq!(g.degrees(), vec![1, 2, 1]);
+        assert_eq!(
+            g.edges(),
+            [WeightedEdge::new(0, 1, 1), WeightedEdge::new(1, 2, 1)]
+        );
     }
 
     #[test]
     fn empty_and_singleton_graphs() {
-        assert_eq!(OverlapGraph::build(&[]).vertex_count(), 0);
-        assert!(OverlapGraph::build(&[]).is_complete());
+        let g = OverlapGraph::build(&[]);
+        assert_eq!(g.vertex_count(), 0);
+        assert_eq!(g.edges(), []);
         let g = OverlapGraph::build(&[iv(0, 1)]);
         assert_eq!(g.vertex_count(), 1);
-        assert_eq!(g.edge_count(), 0);
-        assert!(g.is_complete());
+        assert_eq!(g.edges(), []);
     }
 }

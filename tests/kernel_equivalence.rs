@@ -3,11 +3,10 @@
 //! behaviourally indistinguishable from the full-scan versions they replaced, on
 //! arbitrary random instances of every structure class.
 
-use busytime::machine::ScheduleBuilder;
 use busytime::maxthroughput::{greedy_fallback, greedy_fallback_scan};
-use busytime::minbusy::{first_fit_in_order, first_fit_in_order_scan};
+use busytime::minbusy::{first_fit_in_order_kernel, first_fit_in_order_scan};
 use busytime::twodim::{first_fit_2d_in_order, Instance2d};
-use busytime::{Duration, Instance, Interval, Schedule};
+use busytime::{Duration, Instance, Interval, MachinePool, Schedule};
 use busytime_interval::{max_overlap, span, Rect};
 use busytime_workload::{
     clique_instance, cloud_trace, general_instance, one_sided_instance, optical_lightpaths,
@@ -98,17 +97,20 @@ proptest! {
         prop_assert_eq!(instance.span(), span(instance.jobs()));
     }
 
-    /// The incremental cost a `ScheduleBuilder` tracks equals `Schedule::cost`, which
-    /// in turn equals the old group-and-re-union computation.
+    /// The incremental cost a `MachinePool` tracks while a schedule is built beside
+    /// it equals `Schedule::cost`, which in turn equals the old group-and-re-union
+    /// computation.
     #[test]
     fn builder_cost_equals_schedule_cost(instance in instance_strategy()) {
-        let mut builder = ScheduleBuilder::new(&instance);
+        let mut pool = MachinePool::new(instance.capacity());
+        let mut schedule = Schedule::empty(instance.len());
         for job in 0..instance.len() {
-            let p = builder.best_fit(job);
-            builder.commit(job, p.machine, p.thread);
+            let iv = instance.job(job);
+            let p = pool.best_fit_slot(iv);
+            pool.insert(iv, p.machine, p.thread);
+            schedule.assign(job, p.machine);
         }
-        let tracked = builder.cost();
-        let schedule = builder.finish();
+        let tracked = pool.cost();
         prop_assert_eq!(tracked, schedule.cost(&instance));
         prop_assert_eq!(tracked, cost_reference(&schedule, &instance));
     }
@@ -119,13 +121,13 @@ proptest! {
     fn first_fit_matches_scan_reference(instance in instance_strategy()) {
         let id_order: Vec<usize> = (0..instance.len()).collect();
         prop_assert_eq!(
-            first_fit_in_order(&instance, &id_order),
+            first_fit_in_order_kernel(&instance, &id_order),
             first_fit_in_order_scan(&instance, &id_order)
         );
         let mut by_len = id_order.clone();
         by_len.sort_by_key(|&j| (std::cmp::Reverse(instance.job(j).len()), j));
         prop_assert_eq!(
-            first_fit_in_order(&instance, &by_len),
+            first_fit_in_order_kernel(&instance, &by_len),
             first_fit_in_order_scan(&instance, &by_len)
         );
     }

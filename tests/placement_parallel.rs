@@ -4,10 +4,9 @@
 //! and the parallel batch engine must return exactly the sequential results in the
 //! sequential order, at every pool width.
 
-use busytime::machine::ScheduleBuilder;
-use busytime::minbusy::{first_fit_in_order, first_fit_in_order_adaptive, first_fit_in_order_scan};
+use busytime::minbusy::{first_fit_in_order, first_fit_in_order_kernel, first_fit_in_order_scan};
 use busytime::par::ThreadPool;
-use busytime::{Duration, Instance, Problem, Solver};
+use busytime::{Duration, Instance, MachinePool, Problem, Schedule, Solver};
 use proptest::prelude::*;
 
 /// Random instances mixing overlap-heavy and scattered jobs.
@@ -29,42 +28,52 @@ fn batch_strategy() -> impl Strategy<Value = Vec<Instance>> {
 
 proptest! {
     /// Index-streamed first fit ≡ the linear digest scan, placement by placement
-    /// (same machine chosen for every job, not just the same cost).
+    /// (same machine and thread chosen for every job, not just the same cost).
     #[test]
     fn index_first_fit_equals_linear_probe(instance in instance_strategy()) {
-        let mut indexed = ScheduleBuilder::new(&instance);
-        let mut linear = ScheduleBuilder::new(&instance);
+        let mut indexed = MachinePool::new(instance.capacity());
+        let mut linear = MachinePool::new(instance.capacity());
+        let mut indexed_schedule = Schedule::empty(instance.len());
+        let mut linear_schedule = Schedule::empty(instance.len());
         for job in 0..instance.len() {
-            let via_index = indexed.place_first_fit(job);
-            let via_scan = linear.place_first_fit_linear(job);
+            let iv = instance.job(job);
+            let via_index = indexed.first_fit_slot(iv);
+            let via_scan = linear.first_fit_slot_linear(iv);
             prop_assert_eq!(via_index, via_scan, "job {} diverged", job);
+            indexed.insert(iv, via_index.0, via_index.1);
+            linear.insert(iv, via_scan.0, via_scan.1);
+            indexed_schedule.assign(job, via_index.0);
+            linear_schedule.assign(job, via_scan.0);
         }
         prop_assert_eq!(indexed.cost(), linear.cost());
-        prop_assert_eq!(indexed.finish(), linear.finish());
+        prop_assert_eq!(indexed_schedule, linear_schedule);
     }
 
     /// Index-backed best fit ≡ the linear digest scan: identical (machine, thread,
     /// delta) for every job against every intermediate pool state.
     #[test]
     fn index_best_fit_equals_linear_probe(instance in instance_strategy()) {
-        let mut builder = ScheduleBuilder::new(&instance);
+        let mut pool = MachinePool::new(instance.capacity());
+        let mut schedule = Schedule::empty(instance.len());
         for job in 0..instance.len() {
-            let via_index = builder.best_fit(job);
-            let via_scan = builder.best_fit_linear(job);
+            let iv = instance.job(job);
+            let via_index = pool.best_fit_slot(iv);
+            let via_scan = pool.best_fit_slot_linear(iv);
             prop_assert_eq!(via_index, via_scan, "job {} diverged", job);
-            builder.commit(job, via_index.machine, via_index.thread);
+            pool.insert(iv, via_index.machine, via_index.thread);
+            schedule.assign(job, via_index.machine);
         }
-        let schedule = builder.finish();
         schedule.validate_complete(&instance).unwrap();
+        prop_assert_eq!(pool.cost(), schedule.cost(&instance));
     }
 
-    /// The adaptive dispatch returns the same schedule as both underlying paths —
+    /// FirstFit's scan/kernel choice returns the same schedule as both sides —
     /// whichever side of the threshold an instance lands on.
     #[test]
     fn adaptive_dispatch_is_invisible(instance in instance_strategy()) {
         let order: Vec<usize> = (0..instance.len()).collect();
-        let adaptive = first_fit_in_order_adaptive(&instance, &order);
-        prop_assert_eq!(&adaptive, &first_fit_in_order(&instance, &order));
+        let adaptive = first_fit_in_order(&instance, &order);
+        prop_assert_eq!(&adaptive, &first_fit_in_order_kernel(&instance, &order));
         prop_assert_eq!(&adaptive, &first_fit_in_order_scan(&instance, &order));
     }
 
