@@ -25,9 +25,14 @@
 //! * [`registry`] — the sharded multi-tenant state: tenants hash onto `N` worker
 //!   shards, each shard a single thread owning its tenants' schedulers outright (no
 //!   locks on the hot path); requests travel over bounded channels, so a busy shard
-//!   applies backpressure rather than buffering without limit.  Batch solves bypass
-//!   the shards entirely and fan out through [`busytime::Solver::solve_batch`] on the
-//!   thread pool.
+//!   applies backpressure rather than buffering without limit.  Every request takes
+//!   one path, [`Engine::call_many`] ([`Engine::call`] is a batch of one): one match
+//!   routes the registry-wide operations, tenant operations pass admission and go
+//!   to their shard as one sub-batch, and the shard applies the batch and replies.
+//!   Admission, the shard loop, `apply` and recovery (with the journal format,
+//!   [`JournalRecord`]) each live in a module of their own under the registry.
+//!   Batch solves bypass the shards entirely and fan out through
+//!   [`busytime::Solver::solve_batch`] on the thread pool.
 //! * [`server`] — the std-only TCP front end ([`std::net::TcpListener`], one thread
 //!   per connection) plus the matching blocking [`Client`], including the
 //!   [`Client::drive_trace`] helper the CLI `client` subcommand and the CI smoke use.

@@ -162,17 +162,17 @@ fn accept_loop(
 }
 
 /// One decoded inbound message, waiting in the connection's dispatch batch.
+/// The requests bound for the engine travel beside the batch, in the same order,
+/// so a call variant keeps only how to frame its answer.
 enum Pending {
     /// An NDJSON request for the engine.
-    NdjsonCall(Request),
+    NdjsonCall,
     /// An NDJSON line already answered locally (malformed input).
     NdjsonReply(Response),
     /// A binary request for the engine.
     BinaryCall {
         /// Echoed sequence number.
         seq: u32,
-        /// The decoded request.
-        request: Request,
     },
     /// A binary frame already answered locally (bind acks, unbound tenant ids).
     BinaryReply {
@@ -217,9 +217,14 @@ impl Bindings {
 
 /// Map one decoded binary frame to a pending item, resolving tenant ids through
 /// the connection's binding table (binds mutate it for the *rest of the batch*,
-/// so a bind and its first use may share a window).
-fn pend_binary(frame: RequestFrame, bindings: &mut Bindings) -> Pending {
+/// so a bind and its first use may share a window) and pushing a request for
+/// the engine onto `calls`.
+fn pend_binary(frame: RequestFrame, bindings: &mut Bindings, calls: &mut Vec<Request>) -> Pending {
     let RequestFrame { seq, body } = frame;
+    let mut call = |request| {
+        calls.push(request);
+        Pending::BinaryCall { seq }
+    };
     let unbound = |id: u32| Pending::BinaryReply {
         seq,
         frame: FrameResponse::Error {
@@ -249,37 +254,28 @@ fn pend_binary(frame: RequestFrame, bindings: &mut Bindings) -> Pending {
             start,
             end,
         } => match bindings.name(tenant) {
-            Some(name) => Pending::BinaryCall {
-                seq,
-                request: Request::Arrive {
-                    tenant: name.to_string(),
-                    id,
-                    job: (start, end),
-                },
-            },
+            Some(name) => call(Request::Arrive {
+                tenant: name.to_string(),
+                id,
+                job: (start, end),
+            }),
             None => unbound(tenant),
         },
         FrameRequest::Depart { tenant, id } => match bindings.name(tenant) {
-            Some(name) => Pending::BinaryCall {
-                seq,
-                request: Request::Depart {
-                    tenant: name.to_string(),
-                    id,
-                },
-            },
+            Some(name) => call(Request::Depart {
+                tenant: name.to_string(),
+                id,
+            }),
             None => unbound(tenant),
         },
         FrameRequest::Query { tenant } => match bindings.name(tenant) {
-            Some(name) => Pending::BinaryCall {
-                seq,
-                request: Request::Query {
-                    tenant: name.to_string(),
-                },
-            },
+            Some(name) => call(Request::Query {
+                tenant: name.to_string(),
+            }),
             None => unbound(tenant),
         },
         FrameRequest::Json { payload } => match Request::from_json(&payload) {
-            Ok(request) => Pending::BinaryCall { seq, request },
+            Ok(request) => call(request),
             Err(error) => Pending::BinaryReply {
                 seq,
                 frame: FrameResponse::Error {
@@ -322,23 +318,11 @@ fn frame_response(response: Response) -> FrameResponse {
 fn dispatch(
     engine: &Engine,
     batch: Vec<Pending>,
+    calls: Vec<Request>,
     writer: &mut impl Write,
     scratch: &mut Vec<u8>,
 ) -> std::io::Result<()> {
-    let calls: Vec<Request> = batch
-        .iter()
-        .filter_map(|pending| match pending {
-            Pending::NdjsonCall(request) => Some(request.clone()),
-            Pending::BinaryCall { request, .. } => Some(request.clone()),
-            _ => None,
-        })
-        .collect();
-    let mut responses = if calls.is_empty() {
-        Vec::new()
-    } else {
-        engine.call_many(calls)
-    }
-    .into_iter();
+    let mut responses = engine.call_many(calls).into_iter();
     let mut next = || {
         responses
             .next()
@@ -346,7 +330,7 @@ fn dispatch(
     };
     for pending in batch {
         match pending {
-            Pending::NdjsonCall(_) => {
+            Pending::NdjsonCall => {
                 writer.write_all(next().to_json().as_bytes())?;
                 writer.write_all(b"\n")?;
             }
@@ -354,7 +338,7 @@ fn dispatch(
                 writer.write_all(response.to_json().as_bytes())?;
                 writer.write_all(b"\n")?;
             }
-            Pending::BinaryCall { seq, .. } => {
+            Pending::BinaryCall { seq } => {
                 let frame = ResponseFrame {
                     seq,
                     body: frame_response(next()),
@@ -405,6 +389,7 @@ fn handle_connection(stream: TcpStream, engine: Engine) -> std::io::Result<()> {
             Err(e) => return Err(e),
         };
         let mut batch: Vec<Pending> = Vec::new();
+        let mut calls: Vec<Request> = Vec::new();
         let mut peek = Some(first);
         loop {
             let byte = match peek.take() {
@@ -412,7 +397,7 @@ fn handle_connection(stream: TcpStream, engine: Engine) -> std::io::Result<()> {
                 None => match reader.fill_buf() {
                     Ok([]) => {
                         // EOF with a batch in hand: answer it, then close.
-                        dispatch(&engine, batch, &mut writer, &mut scratch)?;
+                        dispatch(&engine, batch, calls, &mut writer, &mut scratch)?;
                         gated_flush(faults.as_ref(), &mut writer)?;
                         break 'connection;
                     }
@@ -423,11 +408,11 @@ fn handle_connection(stream: TcpStream, engine: Engine) -> std::io::Result<()> {
             };
             if byte == MAGIC {
                 match RequestFrame::read(&mut reader) {
-                    Ok(frame) => batch.push(pend_binary(frame, &mut bindings)),
+                    Ok(frame) => batch.push(pend_binary(frame, &mut bindings, &mut calls)),
                     Err(error) => {
                         // No recoverable frame boundary: answer what we owe plus
                         // a final error frame, then drop the connection.
-                        dispatch(&engine, batch, &mut writer, &mut scratch)?;
+                        dispatch(&engine, batch, calls, &mut writer, &mut scratch)?;
                         if let DecodeError::Protocol { seq, message } = error {
                             let frame = ResponseFrame {
                                 seq,
@@ -446,14 +431,17 @@ fn handle_connection(stream: TcpStream, engine: Engine) -> std::io::Result<()> {
             } else {
                 line.clear();
                 if reader.read_line(&mut line)? == 0 {
-                    dispatch(&engine, batch, &mut writer, &mut scratch)?;
+                    dispatch(&engine, batch, calls, &mut writer, &mut scratch)?;
                     gated_flush(faults.as_ref(), &mut writer)?;
                     break 'connection;
                 }
                 let text = line.trim();
                 if !text.is_empty() {
                     batch.push(match Request::from_json(text) {
-                        Ok(request) => Pending::NdjsonCall(request),
+                        Ok(request) => {
+                            calls.push(request);
+                            Pending::NdjsonCall
+                        }
                         Err(error) => {
                             Pending::NdjsonReply(Response::fail(ErrorCode::Malformed, error))
                         }
@@ -464,7 +452,7 @@ fn handle_connection(stream: TcpStream, engine: Engine) -> std::io::Result<()> {
                 break;
             }
         }
-        dispatch(&engine, batch, &mut writer, &mut scratch)?;
+        dispatch(&engine, batch, calls, &mut writer, &mut scratch)?;
         // The flush fix: flush only when the read side has no further buffered
         // input — a pipelining client's window drains in one write.
         if reader.buffer().is_empty() {

@@ -3,13 +3,16 @@
 //! the point — [`FaultPlan`] draws its failure points from the seed alone, so a
 //! red run reproduces with the seed it prints.
 //!
-//! Four scenarios:
+//! Five scenarios:
 //!  * WAL faults: injected append/fsync errors must produce explicit errors,
 //!    never wrong answers, and a restart must recover exactly the acknowledged
 //!    prefix of every damaged tenant.
 //!  * Shard kills: a killed worker is respawned in-process and its tenants
 //!    recovered from the WAL; retrying the failed calls converges every tenant
 //!    to the oracle.
+//!  * Apply panics: a request that panics on its shard answers `internal` and
+//!    drops only its tenant; the shard keeps serving its cotenants, and a
+//!    restart recovers the dropped tenant's acknowledged events.
 //!  * Connection drops: the self-healing client reconnects, re-binds, resumes
 //!    the pipeline exactly once, and still produces the fault-free report.
 //!  * Overload: a flooding tenant is shed with `overloaded` while a cotenant on
@@ -290,6 +293,165 @@ fn killed_shards_respawn_and_converge_to_the_oracle() {
         };
         let respawns: u64 = health.shards.iter().map(|s| s.respawns).sum();
         assert!(respawns >= 1, "seed {seed}: {health:?}");
+        drop(engine);
+        registry.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+#[test]
+fn apply_panics_drop_only_their_tenant_and_recovery_keeps_the_acked_prefix() {
+    let per_shard = 3usize;
+    let jobs = 40usize;
+    for seed in seeds() {
+        let root = std::env::temp_dir().join(format!(
+            "busytime-chaos-panic-{}-{seed}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let workloads: Vec<(Trace, OnlinePolicy)> = (0..2 * per_shard)
+            .map(|t| tenant_trace(seed, t, jobs))
+            .collect();
+        let total_events: usize = workloads.iter().map(|(t, _)| t.events.len()).sum();
+
+        let mut config = RegistryConfig::new(2);
+        config.durability = Some(DurabilityConfig::new(&root));
+        // Every open and every event is one tenant-scoped apply, so both
+        // planned panics fall inside the drive.
+        config.faults = Some(FaultPlan::new(FaultSpec {
+            apply_panics: 2,
+            horizon: ((workloads.len() + total_events) / 2) as u64,
+            ..FaultSpec::quiet(seed)
+        }));
+        let registry = Registry::with_config(config).unwrap();
+        let engine = registry.engine();
+
+        // `per_shard` tenants on each of the two shards, so every dropped
+        // tenant leaves at least one cotenant on its shard.
+        let mut names: Vec<String> = Vec::new();
+        for i in 0.. {
+            let name = format!("panic-{seed}-{i}");
+            let shard = engine.shard_for(&name);
+            if names
+                .iter()
+                .filter(|n| engine.shard_for(n) == shard)
+                .count()
+                < per_shard
+            {
+                names.push(name);
+            }
+            if names.len() == workloads.len() {
+                break;
+            }
+        }
+
+        let mut opened = vec![true; names.len()];
+        let mut dropped = vec![false; names.len()];
+        let mut acked = vec![0usize; names.len()];
+        let mut panics = 0u64;
+        // Checks one answer for tenant `t`; `true` when it acknowledged.
+        let mut answer = |t: usize, response: Response| -> bool {
+            match response {
+                Response::Error(error) if error.code == ErrorCode::Internal => {
+                    assert!(
+                        error.message.contains(&format!("'{}'", names[t])),
+                        "seed {seed}: the panic must name its tenant: {}",
+                        error.message
+                    );
+                    panics += 1;
+                    dropped[t] = true;
+                    false
+                }
+                Response::Error(error) if dropped[t] => {
+                    assert_eq!(
+                        error.code,
+                        ErrorCode::UnknownTenant,
+                        "seed {seed}: tenant {t} after its drop: {error:?}"
+                    );
+                    false
+                }
+                response => {
+                    assert!(
+                        !dropped[t],
+                        "seed {seed}: tenant {t} answered after its drop"
+                    );
+                    assert!(response.is_ok(), "seed {seed}: tenant {t}: {response:?}");
+                    true
+                }
+            }
+        };
+        for (t, (trace, policy)) in workloads.iter().enumerate() {
+            opened[t] = answer(
+                t,
+                engine.call(Request::Open {
+                    tenant: names[t].clone(),
+                    capacity: trace.capacity,
+                    policy: Some(policy.name().to_string()),
+                }),
+            );
+        }
+        let longest = workloads.iter().map(|(t, _)| t.events.len()).max().unwrap();
+        for i in 0..longest {
+            for (t, (trace, _)) in workloads.iter().enumerate() {
+                if let Some(event) = trace.events.get(i) {
+                    if answer(t, engine.call(Request::from_event(&names[t], event))) {
+                        acked[t] += 1;
+                    }
+                }
+            }
+        }
+        let plan = engine.fault_plan().unwrap().clone();
+        assert_eq!(
+            plan.fired(FaultKind::ApplyPanic),
+            2,
+            "seed {seed}: both planned panics fire inside the drive"
+        );
+        assert_eq!(panics, 2, "seed {seed}: each panic answers `internal` once");
+
+        // The shards kept serving: every tenant the panics spared matches the
+        // fault-free oracle in place.
+        for (t, (trace, policy)) in workloads.iter().enumerate() {
+            if !dropped[t] {
+                assert_eq!(acked[t], trace.events.len(), "seed {seed}: tenant {t}");
+                assert_eq!(
+                    query_report(&engine, &names[t]),
+                    oracle_report(trace, *policy, trace.events.len()),
+                    "seed {seed}: spared tenant {t} diverged"
+                );
+            }
+        }
+        drop(engine);
+        registry.shutdown();
+
+        // Restart without faults: a dropped tenant comes back with exactly its
+        // acknowledged events (the panic struck before the apply, so nothing
+        // past them reached the journal), or stays absent when the panic hit
+        // its `open`; spared tenants come back whole.
+        let registry = Registry::with_durability(2, Some(DurabilityConfig::new(&root))).unwrap();
+        let engine = registry.engine();
+        for (t, (trace, policy)) in workloads.iter().enumerate() {
+            if !opened[t] {
+                let response = engine.call(Request::Query {
+                    tenant: names[t].clone(),
+                });
+                let Response::Error(error) = response else {
+                    panic!("seed {seed}: tenant {t} recovered without an open: {response:?}");
+                };
+                assert_eq!(
+                    error.code,
+                    ErrorCode::UnknownTenant,
+                    "seed {seed}: {error:?}"
+                );
+                continue;
+            }
+            let (report, recovered) = query_report_counted(&engine, &names[t]);
+            assert_eq!(recovered, acked[t], "seed {seed}: tenant {t}");
+            assert_eq!(
+                report,
+                oracle_report(trace, *policy, recovered),
+                "seed {seed}: tenant {t} recovered prefix diverged"
+            );
+        }
         drop(engine);
         registry.shutdown();
         let _ = std::fs::remove_dir_all(&root);
