@@ -8,7 +8,9 @@
 //! * `cargo run -p busytime-bench --bin experiments --release` prints every experiment
 //!   table and an overall pass/fail summary; `--json PATH` records the results.
 //! * `cargo run -p busytime-bench --bin scaling --release` measures the running time of
-//!   the hot paths against their baselines and writes `BENCH_scaling.json`.
+//!   the hot paths against their baselines and writes `BENCH_scaling.json`; `--check`
+//!   gates every section.  Its `server_load` section drives a loopback daemon through
+//!   [`loadgen`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

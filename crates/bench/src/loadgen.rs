@@ -2,46 +2,42 @@
 //! configurable tenants × connections × pipeline depths over both framings, and
 //! reports throughput plus p50/p99/p999 request latency.
 //!
-//! This is the measurement half of the wire-gap work (PR 7): the in-process
-//! engine absorbs millions of events per second, so the interesting question is
-//! how much of that survives the socket.  Each connection runs on its own thread
+//! This is the measurement half of the wire-gap work: the in-process engine
+//! absorbs millions of events per second, so the interesting question is how
+//! much of that survives the socket.  Each connection runs on its own thread
 //! with its own [`Client`], drives a disjoint set of tenants (per-tenant event
 //! order is preserved because one connection owns each tenant), keeps a window of
 //! `pipeline_depth` requests in flight, and timestamps every request at send and
 //! at response — so the latency numbers include queueing inside the window, which
 //! is the latency a pipelining application actually observes.
 //!
-//! The `loadgen` binary wraps this module for the command line; the `scaling`
-//! benchmark calls [`run_spec`] directly to fill the `server_load` section of
-//! `BENCH_scaling.json`; the CI `server-load-smoke` job runs the binary briefly
-//! in both framings and asserts binary ≥ NDJSON throughput.
+//! The `scaling` benchmark's `server_load` section calls [`run_matrix`] against
+//! a [`spawn_loopback`] daemon to fill that section of `BENCH_scaling.json`, and
+//! its `--check` gates the cells.
 
 use std::collections::VecDeque;
 use std::net::TcpListener;
 use std::time::Instant;
 
 use busytime::online::Event;
-use busytime_server::{
-    spawn, Client, Framing, Registry, RegistryConfig, Request, Response, ServerHandle,
-};
+use busytime_server::{spawn, Client, Framing, Registry, Request, Response, ServerHandle};
 use busytime_workload::{multi_tenant_stream, seeded_rng, DurationModel};
 
 /// One load-generation configuration: a framing and a pipeline depth against a
 /// tenant/connection layout.
-#[derive(Debug, Clone)]
-pub struct LoadSpec {
+struct LoadSpec {
     /// Which framing the clients speak.
-    pub framing: Framing,
+    framing: Framing,
     /// Total tenants, spread round-robin across the connections.
-    pub tenants: usize,
+    tenants: usize,
     /// Concurrent connections (one thread and one [`Client`] each).
-    pub connections: usize,
+    connections: usize,
     /// Requests kept in flight per connection (1 = request/response lockstep).
-    pub pipeline_depth: usize,
+    pipeline_depth: usize,
     /// Events driven per tenant (arrivals + departures from a Poisson trace).
-    pub events_per_tenant: usize,
+    events_per_tenant: usize,
     /// Workload seed, so every framing × depth cell replays the same events.
-    pub seed: u64,
+    seed: u64,
 }
 
 /// One measured cell of the load matrix.
@@ -70,28 +66,21 @@ pub struct LoadRow {
     pub p999_us: f64,
     /// Worst observed request latency in microseconds.
     pub max_us: f64,
-    /// Throughput relative to the NDJSON depth-1 row of the same run layout
-    /// (filled by [`annotate_speedups`]; `None` until then or for the baseline
-    /// row itself, which reads 1.0).
+    /// Throughput relative to the NDJSON depth-1 row of the same matrix (which
+    /// reads 1.0); `None` when the matrix has no such row.
     pub speedup_vs_ndjson_depth1: Option<f64>,
 }
 
-/// Spawn a fresh in-memory registry served on an ephemeral loopback port (the
-/// self-contained mode of the `loadgen` binary and the `scaling` benchmark).
+/// Spawn a fresh in-memory registry with `shards` shards, served on an
+/// ephemeral loopback port.
 ///
 /// Returns the server handle (drop it to stop accepting; its `addr()` is where
 /// clients connect) and the registry.  Dropping the handle *before* the
 /// registry makes [`Registry::shutdown`] safe: the accept loop's engine clone
 /// is gone, so the join returns as soon as the last connection closes.
 pub fn spawn_loopback(shards: usize) -> (ServerHandle, Registry) {
-    spawn_loopback_with(RegistryConfig::new(shards))
-}
-
-/// [`spawn_loopback`] with a full [`RegistryConfig`] — admission control and
-/// fault plans included (the resilience benchmarks use both).
-pub fn spawn_loopback_with(config: RegistryConfig) -> (ServerHandle, Registry) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
-    let registry = Registry::with_config(config).expect("spawning the registry");
+    let registry = Registry::new(shards);
     let server = spawn(listener, registry.engine()).expect("spawning the accept loop");
     (server, registry)
 }
@@ -151,7 +140,7 @@ fn drive_connection(
 ///
 /// Tenants are opened (fresh names per cell) outside the measured phase; the
 /// measured phase is every event request across all connections.
-pub fn run_spec(addr: &str, spec: &LoadSpec) -> Result<LoadRow, String> {
+fn run_spec(addr: &str, spec: &LoadSpec) -> Result<LoadRow, String> {
     assert!(spec.connections >= 1 && spec.tenants >= spec.connections);
     let per_tenant = tenant_streams(spec);
     let cell = format!(
@@ -262,7 +251,7 @@ pub fn run_spec(addr: &str, spec: &LoadSpec) -> Result<LoadRow, String> {
 /// Fill every row's `speedup_vs_ndjson_depth1` from the matrix's own NDJSON
 /// depth-1 row (the baseline reads 1.0).  Rows without a baseline in the slice
 /// are left `None`.
-pub fn annotate_speedups(rows: &mut [LoadRow]) {
+fn annotate_speedups(rows: &mut [LoadRow]) {
     let baseline = rows
         .iter()
         .find(|row| row.framing == "ndjson" && row.pipeline_depth == 1)

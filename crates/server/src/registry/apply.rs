@@ -33,6 +33,12 @@ pub const MAX_CAPACITY: usize = 1 << 20;
 /// ~139 years at nanosecond resolution.
 pub const MAX_ABS_TICK: i64 = 1 << 42;
 
+/// Largest job id the wire accepts in `arrive` and in a restored snapshot.  The
+/// journal and the snapshot store write ids as JSON integers, which read back
+/// only up to `i64::MAX`: a larger id would be acknowledged live and then lost
+/// with everything after it on restart.
+const MAX_JOB_ID: u64 = i64::MAX as u64;
+
 /// Parse and bound-check one wire job window.
 ///
 /// The two bounds exist because the wire is a trust boundary the in-process API is
@@ -86,6 +92,12 @@ pub(super) fn apply(state: &mut ShardState, request: Request) -> Response {
             }
         }
         Request::Arrive { tenant, id, job } => {
+            if id > MAX_JOB_ID {
+                return Response::fail(
+                    ErrorCode::Rejected,
+                    format!("job id {id} is out of range (ids must stay within 0..={MAX_JOB_ID})"),
+                );
+            }
             let interval = match checked_window(job.0, job.1) {
                 Ok(interval) => interval,
                 Err(error) => return Response::fail(ErrorCode::Rejected, error),
@@ -117,12 +129,13 @@ pub(super) fn apply(state: &mut ShardState, request: Request) -> Response {
             if let Some(job) = snapshot
                 .jobs
                 .iter()
-                .find(|job| checked_window(job.start, job.end).is_err())
+                .find(|job| job.id > MAX_JOB_ID || checked_window(job.start, job.end).is_err())
             {
                 return Response::fail(
                     ErrorCode::Rejected,
                     format!(
-                        "snapshot job {} has an out-of-range or empty window [{}, {})",
+                        "snapshot job {} has an out-of-range id or an out-of-range or empty \
+                         window [{}, {})",
                         job.id, job.start, job.end
                     ),
                 );
@@ -448,6 +461,26 @@ mod tests {
             panic!("expected an error");
         };
         assert!(error.message.contains("out-of-range"), "{error}");
+        // A job id the journal could not read back is refused, at arrive and in
+        // a snapshot; the largest one it can is applied.
+        let Response::Error(error) = apply(&mut tenants, arrive("t", 1 << 63, (0, 5))) else {
+            panic!("expected an error for id 2^63");
+        };
+        assert_eq!(error.code, ErrorCode::Rejected, "{error}");
+        assert!(error.message.contains("out of range"), "{error}");
+        let mut snapshot = scheduler.snapshot();
+        snapshot.jobs[0].id = 1 << 63;
+        let Response::Error(error) = apply(
+            &mut tenants,
+            Request::Restore {
+                tenant: "u".into(),
+                snapshot,
+            },
+        ) else {
+            panic!("expected an error for a snapshot id of 2^63");
+        };
+        assert!(error.message.contains("out-of-range id"), "{error}");
+        assert!(apply(&mut tenants, arrive("t", MAX_JOB_ID, (0, 5))).is_ok());
         // In-range requests still flow.
         assert!(apply(&mut tenants, arrive("t", 1, (0, MAX_ABS_TICK))).is_ok());
     }

@@ -189,8 +189,6 @@ mod tests {
                 }
                 .to_json()
             );
-            // Ids from 2^63 up are written as negative integers, which `decode`
-            // does not read back yet, so the round trip stops at `i64::MAX`.
             for record in records {
                 let bytes = record.encode(tenant);
                 assert_eq!(JournalRecord::decode(tenant, bytes.as_bytes()), Ok(record));

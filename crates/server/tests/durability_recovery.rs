@@ -257,6 +257,55 @@ fn closed_tenants_stay_closed_and_restores_recover() {
 }
 
 #[test]
+fn an_id_the_journal_cannot_read_back_is_rejected_not_lost_on_restart() {
+    // Ids from 2^63 up used to be acknowledged live and then end recovery's
+    // replay at their record, losing every later event too; in a restored
+    // snapshot they lost the whole tenant.
+    let dir = temp_data_dir("wide-id");
+    let registry = Registry::with_durability(1, Some(config(&dir, 1, 1 << 40))).unwrap();
+    let engine = registry.engine();
+    open(&engine, "t", 2, OnlinePolicy::FirstFit);
+    let arrive = |id: u64, job: (i64, i64)| {
+        engine.call(Request::Arrive {
+            tenant: "t".into(),
+            id,
+            job,
+        })
+    };
+    assert!(arrive(5, (0, 10)).is_ok());
+    let Response::Error(error) = arrive(u64::MAX, (2, 8)) else {
+        panic!("an arrival with id u64::MAX must be rejected");
+    };
+    assert_eq!(error.code, busytime_server::ErrorCode::Rejected, "{error}");
+    assert!(arrive(6, (4, 12)).is_ok());
+    let Response::Snapshot(mut snapshot) = engine.call(Request::Snapshot { tenant: "t".into() })
+    else {
+        panic!("expected a snapshot");
+    };
+    snapshot.jobs[0].id = u64::MAX;
+    let restored = engine.call(Request::Restore {
+        tenant: "r".into(),
+        snapshot,
+    });
+    assert!(!restored.is_ok(), "{restored:?}");
+    let live = server_snapshot(&engine, "t");
+    drop(engine);
+    registry.shutdown();
+
+    let registry = Registry::with_durability(1, Some(config(&dir, 1, 1 << 40))).unwrap();
+    let engine = registry.engine();
+    assert_eq!(server_snapshot(&engine, "t"), live);
+    let Response::Query(report) = engine.call(Request::Query { tenant: "t".into() }) else {
+        panic!("expected a query response");
+    };
+    assert_eq!((report.events, report.live_jobs), (2, 2));
+    assert!(!engine.call(Request::Query { tenant: "r".into() }).is_ok());
+    drop(engine);
+    registry.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn persist_and_wal_stats_expose_the_log() {
     let dir = temp_data_dir("wal-ops");
     let registry = Registry::with_durability(1, Some(config(&dir, 64, 1 << 40))).unwrap();
