@@ -1,9 +1,9 @@
 //! The `server_load` section: the wire itself.  The loopback load generator
 //! (`busytime_bench::loadgen`) drives a real daemon — socket, framing
 //! negotiation, batched shard handoff, the full connection path — over both
-//! framings at several pipeline depths, with fresh tenants per cell and the
+//! framings at several pipeline depths, with fresh tenants per trial and the
 //! identical seeded workload in every cell, recording throughput and
-//! p50/p99/p999 latency per cell.
+//! p50/p99/p999 latency per cell from the median of five trials.
 
 use busytime_bench::loadgen::{run_matrix, spawn_loopback, LoadRow};
 use busytime_server::Framing;

@@ -38,7 +38,13 @@ struct LoadSpec {
     events_per_tenant: usize,
     /// Workload seed, so every framing × depth cell replays the same events.
     seed: u64,
+    /// Which of the cell's [`TRIALS`] this is; it names fresh tenants per trial.
+    trial: usize,
 }
+
+/// Trials per framing × depth cell.  Each cell records its median-throughput
+/// trial, so no ratio rests on one run of its baseline.
+const TRIALS: usize = 5;
 
 /// One measured cell of the load matrix.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -144,11 +150,12 @@ fn run_spec(addr: &str, spec: &LoadSpec) -> Result<LoadRow, String> {
     assert!(spec.connections >= 1 && spec.tenants >= spec.connections);
     let per_tenant = tenant_streams(spec);
     let cell = format!(
-        "{}-d{}-c{}-s{}",
+        "{}-d{}-c{}-s{}-r{}",
         spec.framing.name(),
         spec.pipeline_depth,
         spec.connections,
-        spec.seed
+        spec.seed,
+        spec.trial
     );
 
     // Each connection owns the tenants `t ≡ c (mod connections)` and interleaves
@@ -263,7 +270,10 @@ fn annotate_speedups(rows: &mut [LoadRow]) {
     }
 }
 
-/// Run the full framing × depth matrix for one layout against `addr`.
+/// Run the full framing × depth matrix for one layout against `addr`: every cell
+/// five times, the cell order rotated each round so that no cell always runs
+/// first.  Each cell keeps its median-throughput trial, latencies included,
+/// and the speedups are computed from those rows.
 pub fn run_matrix(
     addr: &str,
     framings: &[Framing],
@@ -273,23 +283,37 @@ pub fn run_matrix(
     events_per_tenant: usize,
     seed: u64,
 ) -> Result<Vec<LoadRow>, String> {
-    let mut rows = Vec::new();
-    for &framing in framings {
-        for &depth in depths {
+    let cells: Vec<(Framing, usize)> = framings
+        .iter()
+        .flat_map(|&framing| depths.iter().map(move |&depth| (framing, depth)))
+        .collect();
+    let mut trials: Vec<Vec<LoadRow>> = vec![Vec::with_capacity(TRIALS); cells.len()];
+    for trial in 0..TRIALS {
+        for offset in 0..cells.len() {
+            let cell = (offset + trial) % cells.len();
+            let (framing, pipeline_depth) = cells[cell];
             // The seed is shared across cells so every cell replays the same
-            // workload; fresh tenant names per cell come from the framing/depth
-            // embedded in the names.
+            // workload; fresh tenant names per trial come from the framing,
+            // depth and trial embedded in the names.
             let spec = LoadSpec {
                 framing,
                 tenants,
                 connections,
-                pipeline_depth: depth,
+                pipeline_depth,
                 events_per_tenant,
                 seed,
+                trial,
             };
-            rows.push(run_spec(addr, &spec)?);
+            trials[cell].push(run_spec(addr, &spec)?);
         }
     }
+    let mut rows: Vec<LoadRow> = trials
+        .into_iter()
+        .map(|mut runs| {
+            runs.sort_by(|a, b| a.requests_per_sec.total_cmp(&b.requests_per_sec));
+            runs.swap_remove(TRIALS / 2)
+        })
+        .collect();
     annotate_speedups(&mut rows);
     Ok(rows)
 }

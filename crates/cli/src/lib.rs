@@ -2,8 +2,9 @@
 //!
 //! Library backing the `busytime` command-line tool: a JSON on-disk instance format plus
 //! the sub-commands (`solve`, `bound`, `throughput`, `batch`, `simulate`, `generate`,
-//! `serve`, `client`) implemented as plain functions so that they can be unit-tested
-//! without spawning processes.
+//! `serve`, `client`, `fsck`) implemented as plain functions so that they can be
+//! unit-tested without spawning processes.  `busytime --help` prints every
+//! subcommand's flags.
 //!
 //! The solving sub-commands go through the unified [`busytime::Solver`] facade, so they
 //! accept the same policy flags: `--algorithm NAME` forces a specific algorithm (a typed
@@ -40,54 +41,18 @@
 use busytime::analysis::ScheduleSummary;
 use busytime::online::{Defrag, Event, OnlinePolicy, OnlineScheduler, Trace};
 use busytime::par::ThreadPool;
-use busytime::report::{ScheduleReport, SimulationReport};
+use busytime::report::{InstanceFile, ScheduleReport, SimulationReport};
 use busytime::{
     Algorithm, Duration, ExactBudget, Instance, Interval, Problem, SolveError, Solver, Time,
 };
 use busytime_workload as workload;
 use serde::{Deserialize, Serialize};
 
-/// The on-disk JSON representation of an instance.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
-pub struct InstanceFile {
-    /// The parallelism parameter `g`.
-    pub capacity: usize,
-    /// Jobs as `[start, completion]` tick pairs.
-    pub jobs: Vec<(i64, i64)>,
-}
-
-impl InstanceFile {
-    /// Convert the file representation into a library instance.
-    ///
-    /// Malformed files — an empty or reversed job, or a zero capacity — come back as
-    /// the library's typed [`busytime::Error`] (pointing at the offending job record)
-    /// rather than a panic or a stringly-typed message; callers render it at the
-    /// process boundary.
-    pub fn to_instance(&self) -> Result<Instance, busytime::Error> {
-        Instance::try_from_ticks(&self.jobs, self.capacity)
-    }
-
-    /// Build the file representation from a library instance.
-    pub fn from_instance(instance: &Instance) -> Self {
-        InstanceFile {
-            capacity: instance.capacity(),
-            jobs: instance
-                .jobs()
-                .iter()
-                .map(|iv| (iv.start().ticks(), iv.end().ticks()))
-                .collect(),
-        }
-    }
-
-    /// Parse from a JSON string.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("invalid instance JSON: {e}"))
-    }
-
-    /// Serialize to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("instance files always serialize")
-    }
+/// Parse a JSON input file's text; `what` names the file kind in the error
+/// (`invalid instance JSON: …`).  Instance files are [`InstanceFile`]s, batch files
+/// arrays of them, and trace files [`TraceFile`]s.
+pub fn from_json<T: serde::Deserialize>(text: &str, what: &str) -> Result<T, String> {
+    serde_json::from_str(text).map_err(|e| format!("invalid {what} JSON: {e}"))
 }
 
 /// Result of a CLI command: text for stdout plus an optional file payload.
@@ -291,22 +256,6 @@ pub fn run_throughput(
     })
 }
 
-/// A batch of instances, as stored on disk: a JSON array of instance objects.
-#[derive(Debug, Clone)]
-pub struct BatchFile {
-    /// The instances, in file order.
-    pub instances: Vec<InstanceFile>,
-}
-
-impl BatchFile {
-    /// Parse a batch from a JSON array (`[{"capacity": …, "jobs": […]} , …]`).
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let instances: Vec<InstanceFile> =
-            serde_json::from_str(text).map_err(|e| format!("invalid batch JSON: {e}"))?;
-        Ok(BatchFile { instances })
-    }
-}
-
 /// `busytime batch`: solve every instance of a batch file concurrently, mapping
 /// [`Solver::solve`] over a thread pool of its own (as [`Solver::solve_batch`] does
 /// over the default-width pool).
@@ -318,7 +267,7 @@ impl BatchFile {
 /// per-instance failure (e.g. `--exact-only` on a general instance) is reported
 /// inline without aborting the rest of the batch.
 pub fn run_batch(
-    batch: &BatchFile,
+    batch: &[InstanceFile],
     budget: Option<i64>,
     options: &SolveOptions,
     threads: Option<usize>,
@@ -333,7 +282,6 @@ pub fn run_batch(
         None => None,
     };
     let instances: Vec<Instance> = batch
-        .instances
         .iter()
         .enumerate()
         .map(|(i, file)| file.to_instance().map_err(|e| format!("instance {i}: {e}")))
@@ -451,16 +399,6 @@ impl TraceFile {
                 })
                 .collect(),
         }
-    }
-
-    /// Parse from a JSON string.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("invalid trace JSON: {e}"))
-    }
-
-    /// Serialize to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("trace files always serialize")
     }
 }
 
@@ -584,31 +522,47 @@ pub fn run_serve(addr: &str, config: busytime_server::RegistryConfig) -> Result<
 
 /// `busytime fsck`: validate a durability data directory offline.
 ///
-/// Walks every tenant under `data_dir` exactly the way server recovery would:
-/// the newest generation's snapshot must parse and restore, every journal frame
-/// must carry a valid CRC, and every journal record must replay onto the
-/// restored scheduler.  The report lists per-tenant replayable event counts.
-/// Any corruption turns the whole report into an error (nonzero process exit),
-/// so scripts can gate a restart on a clean check.
+/// Every tenant under `data_dir` goes through the very read and replay server
+/// recovery runs ([`busytime_server::audit_data_dir`]), which writes nothing, so
+/// the verdict is recovery's: the report lists, per tenant, the generation a
+/// restart serves and the journal events it replays.  Anything recovery would
+/// note — a newer generation whose snapshot does not restore, a damaged journal
+/// tail, a record that does not replay — or a tenant recovery would skip turns
+/// the whole report into an error (nonzero process exit), so scripts can gate a
+/// restart on a clean check.
 pub fn run_fsck(data_dir: &str) -> Result<CommandOutput, String> {
-    if !std::path::Path::new(data_dir).is_dir() {
+    let dir = std::path::Path::new(data_dir);
+    if !dir.is_dir() {
         return Err(format!("{data_dir} is not a directory"));
     }
-    let store = busytime_durability::Store::open(data_dir, 1)
-        .map_err(|e| format!("cannot open {data_dir}: {e}"))?;
-    let names = store
-        .tenant_names()
-        .map_err(|e| format!("cannot list the tenants in {data_dir}: {e}"))?;
-    let mut lines = vec![format!("fsck {data_dir}: {} tenant(s)", names.len())];
+    let tenants =
+        busytime_server::audit_data_dir(dir).map_err(|e| format!("cannot read {data_dir}: {e}"))?;
+    let mut lines = vec![format!("fsck {data_dir}: {} tenant(s)", tenants.len())];
     let mut corrupt = 0usize;
-    for name in &names {
-        match fsck_tenant(&store, name) {
-            Ok(summary) => lines.push(format!("  tenant '{name}': {summary}")),
+    for (name, audit) in tenants {
+        let line = match audit {
+            Ok(audit) => {
+                let replay = format!(
+                    "{} replayable journal event(s), {} live job(s) after replay",
+                    audit.replayed, audit.live_jobs
+                );
+                if audit.notes.is_empty() {
+                    format!("generation {}, snapshot ok, {replay}", audit.generation)
+                } else {
+                    corrupt += 1;
+                    format!(
+                        "CORRUPT: {}; a restart serves generation {} with {replay}",
+                        audit.notes.join("; "),
+                        audit.generation
+                    )
+                }
+            }
             Err(problem) => {
                 corrupt += 1;
-                lines.push(format!("  tenant '{name}': CORRUPT: {problem}"));
+                format!("CORRUPT: {problem}; a restart skips this tenant")
             }
-        }
+        };
+        lines.push(format!("  tenant '{name}': {line}"));
     }
     let report = lines.join("\n");
     if corrupt > 0 {
@@ -618,75 +572,6 @@ pub fn run_fsck(data_dir: &str) -> Result<CommandOutput, String> {
             report,
             file_payload: None,
         })
-    }
-}
-
-/// Check one tenant's newest generation: snapshot restores, journal scans
-/// clean, every record replays.  Returns the per-tenant report line, or the
-/// problem that makes the tenant corrupt.
-fn fsck_tenant(store: &busytime_durability::Store, name: &str) -> Result<String, String> {
-    let inspection = store
-        .inspect_tenant(name)
-        .map_err(|e| format!("cannot inspect the tenant directory: {e}"))?;
-    let Some(generation) = inspection.generations.first().copied() else {
-        return Err("no snapshot/journal generations on disk".to_string());
-    };
-    let snapshot_json = inspection.snapshot_json.ok_or_else(|| {
-        format!(
-            "generation {generation} snapshot is unreadable: {}",
-            inspection
-                .snapshot_error
-                .unwrap_or_else(|| "unknown error".to_string())
-        )
-    })?;
-    let snapshot: busytime::OnlineSnapshot = serde_json::from_str(&snapshot_json)
-        .map_err(|e| format!("generation {generation} snapshot does not parse: {e}"))?;
-    let mut scheduler = busytime::OnlineScheduler::restore(&snapshot)
-        .map_err(|e| format!("generation {generation} snapshot does not restore: {e}"))?;
-    let scan = inspection
-        .scan
-        .ok_or_else(|| "the generation has no journal scan".to_string())?;
-    let total = scan.records.len();
-    let mut replayed = 0usize;
-    for record in &scan.records {
-        fsck_replay(&mut scheduler, name, record).map_err(|problem| {
-            format!(
-                "journal record {replayed} does not replay ({problem}); \
-                 {replayed} of {total} event(s) replayable"
-            )
-        })?;
-        replayed += 1;
-    }
-    if let Some(corruption) = &scan.corruption {
-        return Err(format!(
-            "journal is damaged ({corruption}); {replayed} replayable event(s) precede the damage"
-        ));
-    }
-    Ok(format!(
-        "generation {generation}, snapshot ok, {replayed} replayable journal event(s), \
-         {} live job(s) after replay",
-        scheduler.live_jobs().count()
-    ))
-}
-
-/// Decode one journal record the way server recovery does and apply it to the
-/// scheduler.
-fn fsck_replay(
-    scheduler: &mut busytime::OnlineScheduler,
-    name: &str,
-    record: &[u8],
-) -> Result<(), String> {
-    use busytime_server::JournalRecord;
-    match JournalRecord::decode(name, record)? {
-        JournalRecord::Event(event) => scheduler
-            .apply(&event)
-            .map(|_| ())
-            .map_err(|e| e.to_string()),
-        // `compact` is deterministic against the replayed placements.
-        JournalRecord::Compact(budget) => {
-            scheduler.compact(budget);
-            Ok(())
-        }
     }
 }
 
@@ -762,7 +647,7 @@ pub fn run_generate(
     );
     Ok(CommandOutput {
         report,
-        file_payload: Some(file.to_json()),
+        file_payload: Some(serde_json::to_string_pretty(&file).expect("serializable")),
     })
 }
 
@@ -784,8 +669,8 @@ mod tests {
     #[test]
     fn instance_file_round_trip() {
         let file = sample_file();
-        let json = file.to_json();
-        let parsed = InstanceFile::from_json(&json).unwrap();
+        let json = serde_json::to_string_pretty(&file).unwrap();
+        let parsed: InstanceFile = from_json(&json, "instance").unwrap();
         assert_eq!(parsed, file);
         let instance = parsed.to_instance().unwrap();
         assert_eq!(instance.len(), 4);
@@ -814,7 +699,7 @@ mod tests {
             reversed.to_instance().unwrap_err(),
             busytime::Error::EmptyJob { index: 0, .. }
         ));
-        assert!(InstanceFile::from_json("{not json").is_err());
+        assert!(from_json::<InstanceFile>("{not json", "instance").is_err());
         let zero_g = InstanceFile {
             capacity: 0,
             jobs: vec![(0, 1)],
@@ -920,7 +805,7 @@ mod tests {
         // ceiling, and its warm start misses the relaxation, so branch-and-bound has
         // to search before it proves the optimum — and the payload must say so.
         let out = run_generate(WorkloadClass::General, 40, 4, 2012).unwrap();
-        let file = InstanceFile::from_json(&out.file_payload.unwrap()).unwrap();
+        let file = from_json::<InstanceFile>(&out.file_payload.unwrap(), "instance").unwrap();
         let out = run_bound(&file, None, None).unwrap();
         let payload: BoundReport = serde_json::from_str(&out.file_payload.unwrap()).unwrap();
         assert_eq!(payload.algorithm, "exact-bnb");
@@ -944,15 +829,13 @@ mod tests {
 
     #[test]
     fn batch_command_solves_every_instance() {
-        let batch = BatchFile {
-            instances: vec![
-                sample_file(),
-                InstanceFile {
-                    capacity: 1,
-                    jobs: vec![(0, 2), (2, 4), (5, 7)],
-                },
-            ],
-        };
+        let batch = [
+            sample_file(),
+            InstanceFile {
+                capacity: 1,
+                jobs: vec![(0, 2), (2, 4), (5, 7)],
+            },
+        ];
         let default_width_before = busytime::par::default_threads();
         let out = run_batch(&batch, None, &auto(), Some(2)).unwrap();
         assert!(
@@ -978,9 +861,10 @@ mod tests {
 
     #[test]
     fn batch_command_with_budget_and_failures() {
-        let batch = BatchFile::from_json(
+        let batch: Vec<InstanceFile> = from_json(
             r#"[{"capacity": 2, "jobs": [[0, 10], [2, 12]]},
                 {"capacity": 2, "jobs": [[0, 10], [2, 5], [8, 20], [15, 18]]}]"#,
+            "batch",
         )
         .unwrap();
         // Budgeted: every instance becomes a MaxThroughput request.
@@ -998,7 +882,7 @@ mod tests {
         // Bad arguments are rejected up front.
         assert!(run_batch(&batch, Some(-1), &auto(), None).is_err());
         assert!(run_batch(&batch, None, &auto(), Some(0)).is_err());
-        assert!(BatchFile::from_json("{\"capacity\": 1}").is_err());
+        assert!(from_json::<Vec<InstanceFile>>("{\"capacity\": 1}", "batch").is_err());
     }
 
     fn sample_trace() -> TraceFile {
@@ -1025,13 +909,13 @@ mod tests {
     #[test]
     fn trace_file_round_trip() {
         let file = sample_trace();
-        let json = file.to_json();
-        let parsed = TraceFile::from_json(&json).unwrap();
+        let json = serde_json::to_string_pretty(&file).unwrap();
+        let parsed: TraceFile = from_json(&json, "trace").unwrap();
         assert_eq!(parsed, file);
         let trace = parsed.to_trace().unwrap();
         assert_eq!(trace.len(), 4);
         assert_eq!(TraceFile::from_trace(&trace), file);
-        assert!(TraceFile::from_json("{not json").is_err());
+        assert!(from_json::<TraceFile>("{not json", "trace").is_err());
     }
 
     #[test]
@@ -1108,7 +992,7 @@ mod tests {
         ] {
             let class = WorkloadClass::parse(name).unwrap();
             let out = run_generate(class, 20, 3, 7).unwrap();
-            let file = InstanceFile::from_json(&out.file_payload.unwrap()).unwrap();
+            let file = from_json::<InstanceFile>(&out.file_payload.unwrap(), "instance").unwrap();
             let inst = file.to_instance().unwrap();
             assert_eq!(inst.len(), 20, "{name}");
             if expect_clique {

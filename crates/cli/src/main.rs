@@ -1,56 +1,24 @@
-//! The `busytime` command-line tool.
+//! The `busytime` command-line tool.  `busytime --help` prints the synopsis of
+//! every subcommand; the file formats and the subcommands themselves are
+//! documented on the `busytime-cli` library, which implements them.
 //!
-//! ```text
-//! busytime solve <instance.json> [--algorithm NAME] [--exact-only] [--output schedule.json]
-//! busytime bound <instance.json> [--max-nodes N] [--max-millis MS] [--output bound.json]
-//! busytime throughput <instance.json> --budget T [--algorithm NAME] [--exact-only]
-//!                     [--output schedule.json]
-//! busytime batch <instances.json> [--budget T] [--threads N] [--algorithm NAME]
-//!                [--exact-only] [--output results.json]
-//! busytime simulate <trace.json> [--policy <first-fit|best-fit|bucket-by-length>]
-//!                   [--defrag-budget K] [--output simulation.json]
-//! busytime generate --class <clique|one-sided|proper|proper-clique|general|cloud|optical>
-//!                   --jobs N --capacity G [--seed S] [--output instance.json]
-//! busytime serve [--addr HOST:PORT] [--shards N] [--data-dir PATH]
-//!                [--fsync-batch N] [--compact-every N]
-//!                [--max-inflight N] [--tenant-rate R] [--defrag-budget K]
-//! busytime client <trace.json> --tenant NAME [--addr HOST:PORT] [--policy POLICY]
-//!                 [--binary] [--pipeline N] [--output report.json]
-//! busytime fsck <data-dir>
-//! ```
-//!
-//! Instances are JSON files of the form `{"capacity": 3, "jobs": [[0, 10], [2, 12]]}`;
-//! batches are JSON arrays of such objects.  Traces are JSON files of the form
-//! `{"capacity": 2, "events": [{"id": 1, "job": [0, 10]}, {"id": 1, "job": null}]}`
-//! (a `null` job is the departure of the id's earlier arrival).  `--algorithm` forces
-//! a specific algorithm through the solver facade (for MinBusy: `one-sided`,
-//! `proper-clique-dp`, `clique-matching`, `clique-set-cover`, `best-cut`, `first-fit`,
-//! plus the exponential `exact-subset-dp` and `exact-bnb` backends; for throughput the
-//! `throughput-*` names); `--exact-only` refuses any approximate algorithm, routing
-//! general instances to the exact backends instead of failing.  `bound` proves a
-//! `lower ≤ OPT ≤ upper` bracket through the same backends — `--max-nodes` caps the
-//! branch-and-bound search (default 2,000,000) and `--max-millis` adds an optional
-//! wall-clock cutoff; an exhausted budget still reports a sound bracket and gap; `--threads` sets the width of the thread pool driving `batch` (default: one
-//! worker per core); `--policy` selects the online placement rule driving `simulate`
-//! (default: `first-fit`).  For `client`, `--binary` switches the connection to the
-//! compact binary framing and `--pipeline N` keeps N requests in flight (default 1,
-//! lockstep); the report is identical either way.  For `serve`, `--max-inflight`
-//! caps a tenant's concurrent requests and `--tenant-rate` sets a per-tenant
-//! requests/second quota; passing either turns on admission control, so floods
-//! are shed with retryable `overloaded` errors instead of stalling cotenants.
-//! `--defrag-budget K` (on `serve` and `simulate` alike) runs one background
-//! defragmentation pass of at most K job migrations after every applied event,
-//! so a `query` against such a daemon matches `simulate --defrag-budget K`.
+//! Every subcommand declares its positional argument, its value flags and its
+//! switches once, in one call to [`parse`], and the same rules then hold for all of
+//! them: an undeclared flag, a flag without its value, a value that does not parse
+//! and a second positional argument each print the usage and exit 2.  A repeated
+//! flag has every occurrence parsed, and the last one wins.
 
+use std::fmt::Display;
 use std::str::FromStr;
 
 use busytime::online::OnlinePolicy;
+use busytime::report::InstanceFile;
 use busytime::Algorithm;
 use busytime_cli::{
-    run_batch, run_bound, run_client, run_fsck, run_generate, run_serve, run_simulate, run_solve,
-    run_throughput, BatchFile, CommandOutput, InstanceFile, SolveOptions, TraceFile, WorkloadClass,
+    from_json, run_batch, run_bound, run_client, run_fsck, run_generate, run_serve, run_simulate,
+    run_solve, run_throughput, CommandOutput, SolveOptions, TraceFile, WorkloadClass,
 };
-use busytime_server::{AdmissionConfig, DurabilityConfig, RegistryConfig};
+use busytime_server::{AdmissionConfig, DurabilityConfig, Framing, RegistryConfig};
 
 /// Default host:port of `serve` and `client` (loopback; pass `--addr` to change).
 const DEFAULT_ADDR: &str = "127.0.0.1:7878";
@@ -62,275 +30,223 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The value after a flag, parsed; a missing or unparsable value prints the usage.
-fn value<T: FromStr>(it: &mut std::slice::Iter<'_, String>) -> T {
-    it.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| usage())
+/// Print `message` to stderr and exit with `code`.
+fn fail(code: i32, message: impl Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(code);
 }
 
-/// [`value`] for flags that only take values above zero.
-fn positive<T: FromStr + PartialOrd + Default>(it: &mut std::slice::Iter<'_, String>) -> T {
-    let v = value(it);
-    if v > T::default() {
-        v
-    } else {
-        usage()
+/// One subcommand's arguments, as [`parse`] split them.
+struct Args {
+    /// The positional argument; empty for a subcommand that declares none.
+    path: String,
+    /// Every `(flag, value)` pair, in command-line order.
+    values: Vec<(String, String)>,
+    switches: Vec<String>,
+}
+
+/// Split `args` by one subcommand's declaration: whether it takes a (required)
+/// positional argument, the flags that take a value, and the switches (each list
+/// separated by whitespace).
+fn parse(args: &[String], positional: bool, values: &str, switches: &str) -> Args {
+    let mut parsed = Args {
+        path: String::new(),
+        values: Vec::new(),
+        switches: Vec::new(),
+    };
+    let mut seen_path = false;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if values.split_whitespace().any(|flag| flag == arg) {
+            let value = it.next().unwrap_or_else(|| usage());
+            parsed.values.push((arg.clone(), value.clone()));
+        } else if switches.split_whitespace().any(|flag| flag == arg) {
+            parsed.switches.push(arg.clone());
+        } else if positional && !seen_path && !arg.starts_with('-') {
+            parsed.path = arg.clone();
+            seen_path = true;
+        } else {
+            usage();
+        }
+    }
+    if positional && !seen_path {
+        usage();
+    }
+    parsed
+}
+
+impl Args {
+    /// The last value of `flag`, every occurrence parsed by `parse` (so a malformed
+    /// earlier one is not discarded).
+    fn last<T>(&self, flag: &str, parse: impl Fn(&str) -> T) -> Option<T> {
+        self.values
+            .iter()
+            .filter(|(name, _)| name == flag)
+            .map(|(_, value)| parse(value))
+            .last()
+    }
+
+    /// The value of `flag`; an unparsable one prints the usage.
+    fn value<T: FromStr>(&self, flag: &str) -> Option<T> {
+        self.last(flag, |v| v.parse().unwrap_or_else(|_| usage()))
+    }
+
+    /// [`Args::value`] for flags that only take values above zero.
+    fn positive<T: FromStr + PartialOrd + Default>(&self, flag: &str) -> Option<T> {
+        self.last(flag, |v| {
+            v.parse()
+                .ok()
+                .filter(|v| *v > T::default())
+                .unwrap_or_else(|| usage())
+        })
+    }
+
+    /// The value of a flag that names one of a list; a name outside the list
+    /// prints the list and exits 2.
+    fn named<T>(&self, flag: &str, parse: fn(&str) -> Result<T, String>) -> Option<T> {
+        self.last(flag, |v| parse(v).unwrap_or_else(|e| fail(2, e)))
+    }
+
+    fn switch(&self, flag: &str) -> bool {
+        self.switches.iter().any(|name| name == flag)
+    }
+
+    /// `--algorithm` and `--exact-only`, shared by `solve`, `throughput` and `batch`.
+    fn solve_options(&self) -> SolveOptions {
+        SolveOptions {
+            algorithm: self.named("--algorithm", Algorithm::parse),
+            exact_only: self.switch("--exact-only"),
+        }
     }
 }
 
-fn read_instance(path: &str) -> InstanceFile {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    InstanceFile::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    })
+fn required<T>(value: Option<T>, flag: &str) -> T {
+    value.unwrap_or_else(|| fail(2, format!("{flag} is required")))
 }
 
-fn parse_algorithm(value: Option<&String>) -> Algorithm {
-    let text = value.unwrap_or_else(|| {
-        eprintln!("--algorithm needs a value");
-        std::process::exit(2);
-    });
-    Algorithm::parse(text).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+/// Read and parse a subcommand's input file; a file that cannot be read or does
+/// not parse exits 1.
+fn read<T: serde::Deserialize>(path: &str, what: &str) -> T {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(1, format!("cannot read {path}: {e}")));
+    from_json(&text, what).unwrap_or_else(|e| fail(1, e))
 }
 
 fn finish(output: Result<CommandOutput, String>, output_path: Option<String>) -> ! {
-    match output {
-        Ok(out) => {
-            println!("{}", out.report);
-            if let Some(path) = output_path {
-                match out.file_payload {
-                    Some(payload) => {
-                        if let Err(e) = std::fs::write(&path, payload) {
-                            eprintln!("cannot write {path}: {e}");
-                            std::process::exit(1);
-                        }
-                        println!("wrote {path}");
-                    }
-                    None => eprintln!("this command produces no file output"),
+    let out = output.unwrap_or_else(|e| fail(1, format!("error: {e}")));
+    println!("{}", out.report);
+    if let Some(path) = output_path {
+        match out.file_payload {
+            Some(payload) => {
+                if let Err(e) = std::fs::write(&path, payload) {
+                    fail(1, format!("cannot write {path}: {e}"));
                 }
+                println!("wrote {path}");
             }
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
+            None => eprintln!("this command produces no file output"),
         }
     }
+    std::process::exit(0);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let mut output_path: Option<String> = None;
-
-    match args[0].as_str() {
+    let Some((command, rest)) = args.split_first() else {
+        usage()
+    };
+    match command.as_str() {
         "solve" => {
-            let mut instance_path: Option<String> = None;
-            let mut options = SolveOptions::default();
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--output" => output_path = Some(value(&mut it)),
-                    "--algorithm" => options.algorithm = Some(parse_algorithm(it.next())),
-                    "--exact-only" => options.exact_only = true,
-                    other if instance_path.is_none() => instance_path = Some(other.to_string()),
-                    _ => usage(),
-                }
-            }
-            let path = instance_path.unwrap_or_else(|| usage());
-            finish(run_solve(&read_instance(&path), &options), output_path);
+            let a = parse(rest, true, "--output --algorithm", "--exact-only");
+            let options = a.solve_options();
+            let file: InstanceFile = read(&a.path, "instance");
+            finish(run_solve(&file, &options), a.value("--output"));
         }
         "bound" => {
-            let mut instance_path: Option<String> = None;
-            let mut max_nodes: Option<u64> = None;
-            let mut max_millis: Option<u64> = None;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--output" => output_path = Some(value(&mut it)),
-                    "--max-nodes" => max_nodes = Some(value(&mut it)),
-                    "--max-millis" => max_millis = Some(positive(&mut it)),
-                    other if instance_path.is_none() => instance_path = Some(other.to_string()),
-                    _ => usage(),
-                }
-            }
-            let path = instance_path.unwrap_or_else(|| usage());
-            finish(
-                run_bound(&read_instance(&path), max_nodes, max_millis),
-                output_path,
-            );
+            let a = parse(rest, true, "--output --max-nodes --max-millis", "");
+            let (max_nodes, max_millis) = (a.value("--max-nodes"), a.positive("--max-millis"));
+            let file: InstanceFile = read(&a.path, "instance");
+            finish(run_bound(&file, max_nodes, max_millis), a.value("--output"));
         }
         "throughput" => {
-            let mut instance_path: Option<String> = None;
-            let mut budget: Option<i64> = None;
-            let mut options = SolveOptions::default();
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--output" => output_path = Some(value(&mut it)),
-                    "--budget" => budget = Some(value(&mut it)),
-                    "--algorithm" => options.algorithm = Some(parse_algorithm(it.next())),
-                    "--exact-only" => options.exact_only = true,
-                    other if instance_path.is_none() => instance_path = Some(other.to_string()),
-                    _ => usage(),
-                }
-            }
-            let path = instance_path.unwrap_or_else(|| usage());
-            let budget = budget.unwrap_or_else(|| {
-                eprintln!("--budget is required");
-                std::process::exit(2);
-            });
-            finish(
-                run_throughput(&read_instance(&path), budget, &options),
-                output_path,
-            );
+            let a = parse(rest, true, "--output --budget --algorithm", "--exact-only");
+            let options = a.solve_options();
+            let budget = required(a.value("--budget"), "--budget");
+            let file: InstanceFile = read(&a.path, "instance");
+            finish(run_throughput(&file, budget, &options), a.value("--output"));
         }
         "batch" => {
-            let mut batch_path: Option<String> = None;
-            let mut budget: Option<i64> = None;
-            let mut threads: Option<usize> = None;
-            let mut options = SolveOptions::default();
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--output" => output_path = Some(value(&mut it)),
-                    // A malformed budget must not silently demote the batch to
-                    // MinBusy: reject it like any other unparsable flag value.
-                    "--budget" => budget = Some(value(&mut it)),
-                    "--threads" => threads = Some(value(&mut it)),
-                    "--algorithm" => options.algorithm = Some(parse_algorithm(it.next())),
-                    "--exact-only" => options.exact_only = true,
-                    other if batch_path.is_none() => batch_path = Some(other.to_string()),
-                    _ => usage(),
-                }
-            }
-            let path = batch_path.unwrap_or_else(|| usage());
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            let batch = BatchFile::from_json(&text).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
-            finish(run_batch(&batch, budget, &options, threads), output_path);
+            let a = parse(
+                rest,
+                true,
+                "--output --budget --threads --algorithm",
+                "--exact-only",
+            );
+            // A malformed budget must not silently demote the batch to MinBusy:
+            // it is a usage error like any other unparsable flag value.
+            let (budget, threads) = (a.value("--budget"), a.value("--threads"));
+            let options = a.solve_options();
+            let batch: Vec<InstanceFile> = read(&a.path, "batch");
+            finish(
+                run_batch(&batch, budget, &options, threads),
+                a.value("--output"),
+            );
         }
         "simulate" => {
-            let mut trace_path: Option<String> = None;
-            let mut policy = OnlinePolicy::FirstFit;
-            let mut defrag_budget: Option<usize> = None;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--output" => output_path = Some(value(&mut it)),
-                    "--defrag-budget" => defrag_budget = Some(positive(&mut it)),
-                    "--policy" => {
-                        policy = it
-                            .next()
-                            .map(|v| {
-                                OnlinePolicy::parse(v).unwrap_or_else(|e| {
-                                    eprintln!("{e}");
-                                    std::process::exit(2);
-                                })
-                            })
-                            .unwrap_or_else(|| {
-                                eprintln!("--policy needs a value");
-                                std::process::exit(2);
-                            })
-                    }
-                    other if trace_path.is_none() => trace_path = Some(other.to_string()),
-                    _ => usage(),
-                }
-            }
-            let path = trace_path.unwrap_or_else(|| usage());
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            let trace = TraceFile::from_json(&text).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
-            finish(run_simulate(&trace, policy, defrag_budget), output_path);
+            let a = parse(rest, true, "--output --policy --defrag-budget", "");
+            let policy = a
+                .named("--policy", OnlinePolicy::parse)
+                .unwrap_or(OnlinePolicy::FirstFit);
+            let defrag_budget = a.positive("--defrag-budget");
+            let trace: TraceFile = read(&a.path, "trace");
+            finish(
+                run_simulate(&trace, policy, defrag_budget),
+                a.value("--output"),
+            );
         }
         "generate" => {
-            let mut class: Option<WorkloadClass> = None;
-            let mut jobs = 50usize;
-            let mut capacity = 4usize;
-            let mut seed = 2012u64;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--class" => {
-                        class = it.next().map(|v| {
-                            WorkloadClass::parse(v).unwrap_or_else(|e| {
-                                eprintln!("{e}");
-                                std::process::exit(2);
-                            })
-                        })
-                    }
-                    "--jobs" => jobs = value(&mut it),
-                    "--capacity" => capacity = value(&mut it),
-                    "--seed" => seed = value(&mut it),
-                    "--output" => output_path = Some(value(&mut it)),
-                    _ => usage(),
-                }
-            }
-            let class = class.unwrap_or_else(|| {
-                eprintln!("--class is required");
-                std::process::exit(2);
-            });
-            finish(run_generate(class, jobs, capacity, seed), output_path);
+            let a = parse(rest, false, "--class --jobs --capacity --seed --output", "");
+            let class = a.named("--class", WorkloadClass::parse);
+            let jobs = a.value("--jobs").unwrap_or(50);
+            let capacity = a.value("--capacity").unwrap_or(4);
+            let seed = a.value("--seed").unwrap_or(2012);
+            let class = required(class, "--class");
+            finish(
+                run_generate(class, jobs, capacity, seed),
+                a.value("--output"),
+            );
         }
         "serve" => {
-            let mut addr = DEFAULT_ADDR.to_string();
-            let mut shards = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let mut data_dir: Option<String> = None;
-            let mut fsync_batch: Option<usize> = None;
-            let mut compact_every: Option<u64> = None;
-            let mut max_inflight: Option<usize> = None;
-            let mut tenant_rate: Option<f64> = None;
-            let mut defrag_budget: Option<usize> = None;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--addr" => addr = value(&mut it),
-                    "--shards" => shards = positive(&mut it),
-                    "--data-dir" => data_dir = Some(value(&mut it)),
-                    "--fsync-batch" => fsync_batch = Some(positive(&mut it)),
-                    "--compact-every" => compact_every = Some(positive(&mut it)),
-                    "--max-inflight" => max_inflight = Some(positive(&mut it)),
-                    "--tenant-rate" => tenant_rate = Some(positive(&mut it)),
-                    "--defrag-budget" => defrag_budget = Some(positive(&mut it)),
-                    _ => usage(),
-                }
-            }
-            let mut config = RegistryConfig::new(shards);
-            config.defrag_budget = defrag_budget;
+            let a = parse(
+                rest,
+                false,
+                "--addr --shards --data-dir --fsync-batch --compact-every --max-inflight \
+                 --tenant-rate --defrag-budget",
+                "",
+            );
+            let addr = a
+                .value("--addr")
+                .unwrap_or_else(|| DEFAULT_ADDR.to_string());
+            let shards = a.positive("--shards");
+            let data_dir: Option<String> = a.value("--data-dir");
+            let fsync_batch = a.positive("--fsync-batch");
+            let compact_every = a.positive("--compact-every");
+            let max_inflight = a.positive("--max-inflight");
+            let tenant_rate = a.positive("--tenant-rate");
+            let mut config =
+                RegistryConfig::new(shards.unwrap_or_else(|| {
+                    std::thread::available_parallelism().map_or(1, |n| n.get())
+                }));
+            config.defrag_budget = a.positive("--defrag-budget");
             config.durability = match data_dir {
                 Some(dir) => {
                     let mut durability = DurabilityConfig::new(dir);
-                    if let Some(batch) = fsync_batch {
-                        durability.fsync_batch = batch;
-                    }
-                    if let Some(threshold) = compact_every {
-                        durability.compact_threshold = threshold;
-                    }
+                    durability.fsync_batch = fsync_batch.unwrap_or(durability.fsync_batch);
+                    durability.compact_threshold =
+                        compact_every.unwrap_or(durability.compact_threshold);
                     Some(durability)
                 }
                 None if fsync_batch.is_some() || compact_every.is_some() => {
-                    eprintln!("--fsync-batch and --compact-every need --data-dir");
-                    std::process::exit(2);
+                    fail(2, "--fsync-batch and --compact-every need --data-dir")
                 }
                 None => None,
             };
@@ -338,78 +254,44 @@ fn main() {
             // the other keeps its default.
             if max_inflight.is_some() || tenant_rate.is_some() {
                 let mut admission = AdmissionConfig::default();
-                if let Some(cap) = max_inflight {
-                    admission.max_inflight = cap;
-                }
+                admission.max_inflight = max_inflight.unwrap_or(admission.max_inflight);
                 admission.tenant_rate = tenant_rate;
                 config.admission = Some(admission);
             }
             if let Err(e) = run_serve(&addr, config) {
-                eprintln!("error: {e}");
-                std::process::exit(1);
+                fail(1, format!("error: {e}"));
             }
         }
         "fsck" => {
-            let mut data_dir: Option<String> = None;
-            for arg in &args[1..] {
-                match arg.as_str() {
-                    other if data_dir.is_none() && !other.starts_with('-') => {
-                        data_dir = Some(other.to_string())
-                    }
-                    _ => usage(),
-                }
-            }
-            finish(run_fsck(&data_dir.unwrap_or_else(|| usage())), None);
+            let a = parse(rest, true, "", "");
+            finish(run_fsck(&a.path), None);
         }
         "client" => {
-            let mut trace_path: Option<String> = None;
-            let mut addr = DEFAULT_ADDR.to_string();
-            let mut tenant: Option<String> = None;
-            let mut policy = OnlinePolicy::FirstFit;
-            let mut framing = busytime_server::Framing::Ndjson;
-            let mut pipeline = 1usize;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--output" => output_path = Some(value(&mut it)),
-                    "--addr" => addr = value(&mut it),
-                    "--tenant" => tenant = Some(value(&mut it)),
-                    "--binary" => framing = busytime_server::Framing::Binary,
-                    "--pipeline" => pipeline = positive(&mut it),
-                    "--policy" => {
-                        policy = it
-                            .next()
-                            .map(|v| {
-                                OnlinePolicy::parse(v).unwrap_or_else(|e| {
-                                    eprintln!("{e}");
-                                    std::process::exit(2);
-                                })
-                            })
-                            .unwrap_or_else(|| usage())
-                    }
-                    other if trace_path.is_none() => trace_path = Some(other.to_string()),
-                    _ => usage(),
-                }
-            }
-            let path = trace_path.unwrap_or_else(|| usage());
-            let tenant = tenant.unwrap_or_else(|| {
-                eprintln!("--tenant is required");
-                std::process::exit(2);
-            });
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            let trace = TraceFile::from_json(&text).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
+            let a = parse(
+                rest,
+                true,
+                "--output --addr --tenant --pipeline --policy",
+                "--binary",
+            );
+            let addr = a
+                .value("--addr")
+                .unwrap_or_else(|| DEFAULT_ADDR.to_string());
+            let pipeline = a.positive("--pipeline").unwrap_or(1);
+            let policy = a
+                .named("--policy", OnlinePolicy::parse)
+                .unwrap_or(OnlinePolicy::FirstFit);
+            let framing = if a.switch("--binary") {
+                Framing::Binary
+            } else {
+                Framing::Ndjson
+            };
+            let tenant: String = required(a.value("--tenant"), "--tenant");
+            let trace: TraceFile = read(&a.path, "trace");
             finish(
                 run_client(&trace, &addr, &tenant, policy, framing, pipeline),
-                output_path,
+                a.value("--output"),
             );
         }
-        "--help" | "-h" => usage(),
         _ => usage(),
     }
 }

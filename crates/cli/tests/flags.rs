@@ -1,5 +1,6 @@
 //! Flag values on the `busytime` binary: a missing or unparsable value prints the
-//! usage and exits 2, whatever the subcommand and whatever came before it.
+//! usage and exits 2, whatever the subcommand and whatever came before it.  One
+//! parser serves every subcommand, so one rule covers every flag.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -46,14 +47,49 @@ fn unparsable_budget_is_a_usage_error() {
 fn a_later_malformed_value_is_not_discarded() {
     let (dir, inst) = instance_dir("repeat");
     let inst = inst.to_str().unwrap();
-    assert_usage(&busytime(&[
-        "throughput",
-        inst,
-        "--budget",
-        "50",
-        "--budget",
-        "abc",
-    ]));
+    // Every occurrence of a repeated flag is parsed, whichever one is malformed.
+    for budgets in [["50", "abc"], ["abc", "50"]] {
+        assert_usage(&busytime(&[
+            "throughput",
+            inst,
+            "--budget",
+            budgets[0],
+            "--budget",
+            budgets[1],
+        ]));
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn a_named_flag_without_its_value_is_a_usage_error() {
+    let (dir, inst) = instance_dir("named");
+    let inst = inst.to_str().unwrap();
+    assert_usage(&busytime(&["solve", inst, "--algorithm"]));
+    assert_usage(&busytime(&["simulate", inst, "--policy"]));
+    assert_usage(&busytime(&["generate", "--class"]));
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn an_unknown_name_prints_the_valid_names() {
+    let (dir, inst) = instance_dir("unknown-name");
+    let inst = inst.to_str().unwrap();
+    for (args, names) in [
+        (
+            vec!["simulate", inst, "--policy", "nope"],
+            "first-fit, best-fit, bucket-by-length",
+        ),
+        (
+            vec!["generate", "--class", "nope"],
+            "clique, one-sided, proper, proper-clique, general, cloud or optical",
+        ),
+    ] {
+        let output = busytime(&args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+        assert!(stderr.contains(names), "stderr: {stderr}");
+    }
     std::fs::remove_dir_all(dir).unwrap();
 }
 

@@ -1,5 +1,6 @@
-//! `busytime fsck` judges a tenant journal the way server recovery replays it: a
-//! record that recovery would truncate makes fsck fail and name that record.
+//! `busytime fsck` judges a data directory through server recovery's own read and
+//! replay: whatever recovery would note makes fsck fail, and the report names what a
+//! restart serves instead.
 
 use std::path::PathBuf;
 
@@ -56,5 +57,76 @@ fn fsck_rejects_the_out_of_range_record_recovery_truncates() {
     }
     drop(engine);
     registry.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fsck_names_the_generation_a_restart_falls_back_to() {
+    let dir = temp_data_dir("fallback");
+    let store = Store::open(&dir, 1).unwrap();
+    let empty = OnlineScheduler::new(2, OnlinePolicy::FirstFit).unwrap();
+    let mut log = store
+        .begin_tenant("t", &serde_json::to_string(&empty.snapshot()).unwrap())
+        .unwrap();
+    let events = [
+        Request::Arrive {
+            tenant: "t".into(),
+            id: 1,
+            job: (0, 10),
+        },
+        Request::Arrive {
+            tenant: "t".into(),
+            id: 2,
+            job: (5, 15),
+        },
+        Request::Arrive {
+            tenant: "t".into(),
+            id: 3,
+            job: (20, 30),
+        },
+        Request::Depart {
+            tenant: "t".into(),
+            id: 1,
+        },
+    ];
+    for record in &events {
+        log.append(record.to_json().as_bytes()).unwrap();
+    }
+    log.sync().unwrap();
+    drop(log);
+    // A newer generation whose snapshot does not parse, as a torn compaction
+    // could leave behind.
+    std::fs::write(store.tenant_dir("t").join("snapshot.1.json"), "not json").unwrap();
+
+    let problem = busytime_cli::run_fsck(dir.to_str().unwrap()).unwrap_err();
+    assert!(
+        problem.contains("generation 1: snapshot rejected")
+            && problem.contains(
+                "a restart serves generation 0 with 4 replayable journal event(s), \
+                 2 live job(s)"
+            ),
+        "{problem}"
+    );
+
+    let registry =
+        Registry::with_durability(1, Some(DurabilityConfig::new(&dir))).expect("registry opens");
+    let engine = registry.engine();
+    match engine.call(Request::Query { tenant: "t".into() }) {
+        Response::Query(report) => {
+            assert_eq!(report.events, 4, "the restart serves generation 0");
+            assert_eq!(report.live_jobs, 2);
+        }
+        other => panic!("expected a query report, got {other:?}"),
+    }
+    drop(engine);
+    registry.shutdown();
+    // Recovery committed generation 0, so the directory is clean now.
+    let report = busytime_cli::run_fsck(dir.to_str().unwrap())
+        .unwrap()
+        .report;
+    assert!(
+        report.contains("generation 0, snapshot ok, 4 replayable journal event(s)"),
+        "{report}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -63,7 +63,7 @@
 //! | [`demand`] | the Section 5 extension with per-job capacity demands (\[16\]) |
 //! | [`bounds`] | the parallelism / span / length bounds of Observation 2.1 |
 //! | [`analysis`] | schedule summaries and ratio reporting |
-//! | [`report`] | the shared JSON result schemas ([`ScheduleReport`], [`SimulationReport`]) the CLI and server emit |
+//! | [`report`] | the shared JSON schemas the CLI and server read and emit ([`InstanceFile`], [`ScheduleReport`], [`SimulationReport`]) |
 //! | [`par`] | the [`par::ThreadPool`] batch engine: scoped workers on an atomic cursor |
 
 #![warn(missing_docs)]
@@ -95,7 +95,7 @@ pub use instance::{Instance, JobId};
 pub use machine::{MachinePool, MachineState, Placement};
 pub use online::{OnlinePolicy, OnlineRun, OnlineScheduler, OnlineSnapshot};
 pub use placement::{MachineDigest, PlacementIndex};
-pub use report::{ScheduleReport, SimulationReport};
+pub use report::{InstanceFile, ScheduleReport, SimulationReport};
 pub use schedule::{MachineId, Schedule, SolveResult, ThroughputResult};
 pub use solver::{
     Algorithm, AttemptOutcome, DispatchAttempt, ExactBackend, ExactBudget, ExactOracle,

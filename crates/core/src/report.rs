@@ -1,11 +1,14 @@
-//! Shared machine-readable result schemas.
+//! Shared machine-readable schemas.
 //!
-//! Three consumers render solve results as JSON: the CLI (`solve`/`throughput`/`batch`
-//! file output), the online `simulate` subcommand, and the `busytime-server` daemon's
-//! `batch` and `query` responses.  Before this module each of them declared its own
-//! ad-hoc result struct, so the shapes drifted apart silently.  The two schemas here
-//! are the single source of truth:
+//! Three consumers read instances from JSON and render solve results as JSON: the
+//! CLI (`solve`/`throughput`/`batch` files and output), the online `simulate`
+//! subcommand, and the `busytime-server` daemon's `batch` and `query` operations.
+//! Before this module each of them declared its own ad-hoc structs, so the shapes
+//! drifted apart silently.  The schemas here are the single source of truth:
 //!
+//! * [`InstanceFile`] — one offline instance as `{"capacity": g, "jobs": [[s, e], …]}`:
+//!   the CLI's instance files, each element of its batch files, and each instance of
+//!   the server's `batch` request.
 //! * [`ScheduleReport`] — the result of solving one offline problem (MinBusy or
 //!   budgeted MaxThroughput): objective, bounds, machine groups and the full dispatch
 //!   trace.
@@ -19,9 +22,43 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::Error;
 use crate::instance::Instance;
 use crate::online::OnlineScheduler;
 use crate::solver::Solution;
+
+/// The JSON shape of one offline instance.
+#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+pub struct InstanceFile {
+    /// The parallelism parameter `g`.
+    pub capacity: usize,
+    /// Jobs as `[start, completion]` tick pairs.
+    pub jobs: Vec<(i64, i64)>,
+}
+
+impl InstanceFile {
+    /// Convert the file representation into a library instance.
+    ///
+    /// Malformed files — an empty or reversed job, or a zero capacity — come back as
+    /// the library's typed [`Error`] (pointing at the offending job record) rather
+    /// than a panic or a stringly-typed message; callers render it at the process
+    /// or wire boundary.
+    pub fn to_instance(&self) -> Result<Instance, Error> {
+        Instance::try_from_ticks(&self.jobs, self.capacity)
+    }
+
+    /// Build the file representation from a library instance.
+    pub fn from_instance(instance: &Instance) -> Self {
+        InstanceFile {
+            capacity: instance.capacity(),
+            jobs: instance
+                .jobs()
+                .iter()
+                .map(|iv| (iv.start().ticks(), iv.end().ticks()))
+                .collect(),
+        }
+    }
+}
 
 /// The canonical JSON shape of one solved offline problem.
 ///

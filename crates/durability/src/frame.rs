@@ -16,19 +16,19 @@
 use crate::inject::{FaultInjector, IoPoint};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, Seek, Write};
+use std::path::Path;
 
 /// Upper bound on a single frame payload.  A corrupted length prefix must not
 /// make the scanner attempt a multi-gigabyte allocation.
-pub const MAX_FRAME_LEN: u32 = 1 << 26;
+const MAX_FRAME_LEN: u32 = 1 << 26;
 
 /// Bytes of framing overhead per record (length prefix + CRC).
-pub const FRAME_HEADER_LEN: u64 = 8;
+const FRAME_HEADER_LEN: u64 = 8;
 
 /// Compute the IEEE CRC-32 checksum of `data` (the polynomial used by zip,
 /// PNG, and ethernet), via the classic byte-at-a-time table.
-pub fn crc32(data: &[u8]) -> u32 {
+fn crc32(data: &[u8]) -> u32 {
     const TABLE: [u32; 256] = crc32_table();
     let mut crc = !0u32;
     for &byte in data {
@@ -74,7 +74,7 @@ pub enum Corruption {
         /// Zero-based index of the corrupt record.
         index: usize,
     },
-    /// A length prefix larger than [`MAX_FRAME_LEN`] — treated as garbage
+    /// A length prefix larger than the 64 MiB frame cap — treated as garbage
     /// rather than trusted.
     OversizedFrame {
         /// Byte offset of the frame's header.
@@ -102,35 +102,25 @@ impl fmt::Display for Corruption {
 
 /// The result of scanning a journal file front to back.
 #[derive(Debug)]
-pub struct JournalScan {
+pub(crate) struct JournalScan {
     /// Every intact record payload, in append order.
-    pub records: Vec<Vec<u8>>,
+    pub(crate) records: Vec<Vec<u8>>,
     /// Length of the valid prefix in bytes; the file is trustworthy up to
     /// here and garbage past it.
-    pub valid_bytes: u64,
-    /// Total size of the file as found on disk.
-    pub total_bytes: u64,
+    pub(crate) valid_bytes: u64,
     /// What stopped the scan, if anything did.
-    pub corruption: Option<Corruption>,
-}
-
-impl JournalScan {
-    /// True when every byte of the file parsed as intact frames.
-    pub fn is_clean(&self) -> bool {
-        self.corruption.is_none()
-    }
+    pub(crate) corruption: Option<Corruption>,
 }
 
 /// Scan a journal file without modifying it.  Missing files scan as empty —
 /// a tenant that never logged an event has an empty durable prefix, not an
 /// error.
-pub fn scan_journal(path: &Path) -> io::Result<JournalScan> {
+pub(crate) fn scan_journal(path: &Path) -> io::Result<JournalScan> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
     };
-    let total_bytes = bytes.len() as u64;
     let mut records = Vec::new();
     let mut offset = 0usize;
     let mut corruption = None;
@@ -172,16 +162,14 @@ pub fn scan_journal(path: &Path) -> io::Result<JournalScan> {
     Ok(JournalScan {
         records,
         valid_bytes: offset as u64,
-        total_bytes,
         corruption,
     })
 }
 
 /// An append-only journal open for writing, with fsync-batched group commit.
 #[derive(Debug)]
-pub struct Journal {
+pub(crate) struct Journal {
     file: File,
-    path: PathBuf,
     fsync_batch: usize,
     pending: usize,
     records: u64,
@@ -195,16 +183,14 @@ pub struct Journal {
 
 impl Journal {
     /// Create (or truncate) a journal at `path`.
-    pub fn create(path: impl Into<PathBuf>, fsync_batch: usize) -> io::Result<Journal> {
-        let path = path.into();
+    pub(crate) fn create(path: &Path, fsync_batch: usize) -> io::Result<Journal> {
         let file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(true)
-            .open(&path)?;
+            .open(path)?;
         Ok(Journal {
             file,
-            path,
             fsync_batch: fsync_batch.max(1),
             pending: 0,
             records: 0,
@@ -214,50 +200,46 @@ impl Journal {
         })
     }
 
-    /// Open an existing journal for appending, first scanning it and
-    /// truncating away anything past the valid prefix so a torn tail never
-    /// poisons later appends.  Returns the journal together with the scan
-    /// (whose `records` are the recovered payloads).
-    pub fn recover(
-        path: impl Into<PathBuf>,
+    /// Reopen a scanned journal for appending at the end of its intact prefix:
+    /// `records` frames in `valid_bytes` bytes, as [`scan_journal`] found them.
+    /// Anything past the prefix is truncated away (and the truncation synced), so
+    /// a torn tail never poisons later appends.  The file is not scanned again.
+    pub(crate) fn reopen(
+        path: &Path,
         fsync_batch: usize,
-    ) -> io::Result<(Journal, JournalScan)> {
-        let path = path.into();
-        let scan = scan_journal(&path)?;
-        let file = OpenOptions::new()
+        records: u64,
+        valid_bytes: u64,
+    ) -> io::Result<Journal> {
+        let mut file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(false)
-            .open(&path)?;
-        if scan.valid_bytes < scan.total_bytes {
-            file.set_len(scan.valid_bytes)?;
+            .open(path)?;
+        if file.metadata()?.len() > valid_bytes {
+            file.set_len(valid_bytes)?;
             file.sync_data()?;
         }
-        let mut file = file;
-        use std::io::Seek;
-        file.seek(io::SeekFrom::Start(scan.valid_bytes))?;
-        let journal = Journal {
+        file.seek(io::SeekFrom::Start(valid_bytes))?;
+        Ok(Journal {
             file,
-            path,
             fsync_batch: fsync_batch.max(1),
             pending: 0,
-            records: scan.records.len() as u64,
-            bytes: scan.valid_bytes,
+            records,
+            bytes: valid_bytes,
             scratch: Vec::new(),
             injector: None,
-        };
-        Ok((journal, scan))
+        })
     }
 
     /// Install (or clear) the chaos hook consulted before each write/fsync.
-    pub fn set_injector(&mut self, injector: Option<FaultInjector>) {
+    pub(crate) fn set_injector(&mut self, injector: Option<FaultInjector>) {
         self.injector = injector;
     }
 
     /// Append one record.  The frame is handed to the kernel immediately
     /// (surviving a `SIGKILL` of this process); `fsync` runs once every
     /// `fsync_batch` appends.
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
+    pub(crate) fn append(&mut self, payload: &[u8]) -> io::Result<()> {
         assert!(
             payload.len() as u64 <= MAX_FRAME_LEN as u64,
             "journal record exceeds MAX_FRAME_LEN"
@@ -282,7 +264,7 @@ impl Journal {
     }
 
     /// Force any batched appends down to stable storage now.
-    pub fn sync(&mut self) -> io::Result<()> {
+    pub(crate) fn sync(&mut self) -> io::Result<()> {
         if self.pending > 0 {
             if let Some(injector) = &self.injector {
                 injector.check(IoPoint::Sync)?;
@@ -294,23 +276,18 @@ impl Journal {
     }
 
     /// Number of records in the journal (recovered + appended).
-    pub fn records(&self) -> u64 {
+    pub(crate) fn records(&self) -> u64 {
         self.records
     }
 
     /// Size of the journal in bytes, including framing overhead.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
 
     /// Appends not yet covered by an `fsync`.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.pending
-    }
-
-    /// The file this journal writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -318,13 +295,32 @@ impl Journal {
 mod tests {
     use super::*;
 
-    fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "busytime-durability-frame-{}-{name}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("journal.log")
+    use std::path::PathBuf;
+
+    /// A fresh temporary directory for one test's journal, removed when the
+    /// guard drops, so a failing test cleans up too.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!(
+                "busytime-durability-frame-{}-{name}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+
+        fn journal(&self) -> PathBuf {
+            self.0.join("journal.log")
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
@@ -336,25 +332,26 @@ mod tests {
 
     #[test]
     fn append_then_scan_round_trips() {
-        let path = temp_path("round-trip");
+        let dir = TempDir::new("round-trip");
+        let path = dir.journal();
         let mut journal = Journal::create(&path, 2).unwrap();
         journal.append(b"alpha").unwrap();
         journal.append(b"beta").unwrap();
         journal.append(b"gamma").unwrap();
         journal.sync().unwrap();
         let scan = scan_journal(&path).unwrap();
-        assert!(scan.is_clean());
+        assert!(scan.corruption.is_none());
         assert_eq!(
             scan.records,
             vec![b"alpha".to_vec(), b"beta".to_vec(), b"gamma".to_vec()]
         );
         assert_eq!(scan.valid_bytes, journal.bytes());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_tail_recovers_prefix_and_truncates() {
-        let path = temp_path("torn");
+        let dir = TempDir::new("torn");
+        let path = dir.journal();
         let mut journal = Journal::create(&path, 1).unwrap();
         journal.append(b"keep-me").unwrap();
         journal.append(b"lose-me").unwrap();
@@ -365,27 +362,29 @@ mod tests {
         file.set_len(len - 1).unwrap();
         drop(file);
 
-        let (mut journal, scan) = Journal::recover(&path, 1).unwrap();
+        let scan = scan_journal(&path).unwrap();
         assert_eq!(scan.records, vec![b"keep-me".to_vec()]);
         assert!(matches!(
             scan.corruption,
             Some(Corruption::TornFrame { .. })
         ));
+        let mut journal =
+            Journal::reopen(&path, 1, scan.records.len() as u64, scan.valid_bytes).unwrap();
         // The file was truncated to the valid prefix and appends resume cleanly.
         journal.append(b"after-repair").unwrap();
         drop(journal);
         let rescan = scan_journal(&path).unwrap();
-        assert!(rescan.is_clean());
+        assert!(rescan.corruption.is_none());
         assert_eq!(
             rescan.records,
             vec![b"keep-me".to_vec(), b"after-repair".to_vec()]
         );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn bit_flip_stops_scan_at_corrupt_record() {
-        let path = temp_path("flip");
+        let dir = TempDir::new("flip");
+        let path = dir.journal();
         let mut journal = Journal::create(&path, 1).unwrap();
         journal.append(b"first").unwrap();
         journal.append(b"second").unwrap();
@@ -402,12 +401,12 @@ mod tests {
             scan.corruption,
             Some(Corruption::BadCrc { index: 1, .. })
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn oversized_length_prefix_is_rejected_not_trusted() {
-        let path = temp_path("oversized");
+        let dir = TempDir::new("oversized");
+        let path = dir.journal();
         let mut frame = Vec::new();
         frame.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
         frame.extend_from_slice(&0u32.to_le_bytes());
@@ -418,21 +417,22 @@ mod tests {
             scan.corruption,
             Some(Corruption::OversizedFrame { .. })
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn missing_journal_scans_as_empty() {
-        let path = temp_path("missing").with_file_name("never-created.log");
+        let dir = TempDir::new("missing");
+        let path = dir.0.join("never-created.log");
         let scan = scan_journal(&path).unwrap();
-        assert!(scan.is_clean());
+        assert!(scan.corruption.is_none());
         assert!(scan.records.is_empty());
-        assert_eq!(scan.total_bytes, 0);
+        assert_eq!(scan.valid_bytes, 0);
     }
 
     #[test]
     fn fsync_batching_counts_pending_appends() {
-        let path = temp_path("pending");
+        let dir = TempDir::new("pending");
+        let path = dir.journal();
         let mut journal = Journal::create(&path, 4).unwrap();
         journal.append(b"a").unwrap();
         journal.append(b"b").unwrap();
@@ -441,6 +441,5 @@ mod tests {
         journal.append(b"d").unwrap();
         // The fourth append crossed the batch boundary and synced.
         assert_eq!(journal.pending(), 0);
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -14,9 +14,9 @@ use std::sync::Arc;
 /// Where in the journal's I/O path a fault can fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoPoint {
-    /// Before a record's `write(2)` in [`crate::Journal::append`].
+    /// Before a record's `write(2)` in [`TenantLog::append`](crate::TenantLog::append).
     Append,
-    /// Before the `fsync` in [`crate::Journal::sync`] (only consulted when
+    /// Before the `fsync` in [`TenantLog::sync`](crate::TenantLog::sync) (only consulted when
     /// there are pending appends to sync).
     Sync,
 }

@@ -5,21 +5,21 @@
 //! snapshot restoration is delegated to a caller-supplied closure, so this
 //! layer knows nothing about schedulers.  What it does know:
 //!
-//! - **Framing** ([`Journal`], [`scan_journal`]): length-prefixed frames,
-//!   each protected by an IEEE [`crc32`].  Appends hit the kernel with one
-//!   `write(2)` per frame (a `SIGKILL` never loses an acknowledged-and-
-//!   written frame); `fsync` is batched over `fsync_batch` appends (group
-//!   commit).
-//! - **Recovery** ([`Journal::recover`]): scan front to back, stop at the
-//!   first torn or CRC-failing frame, truncate the file there, and hand
-//!   back the intact prefix.  A corrupt tail costs the un-synced suffix,
-//!   never the log.
+//! - **Framing**: length-prefixed journal frames, each protected by an IEEE
+//!   CRC-32.  Appends hit the kernel with one `write(2)` per frame (a
+//!   `SIGKILL` never loses an acknowledged-and-written frame); `fsync` is
+//!   batched over `fsync_batch` appends (group commit).
 //! - **Generations** ([`Store`], [`TenantLog`]): each tenant directory
 //!   holds one live `snapshot.<gen>.json` + `journal.<gen>.log` pair.
 //!   Compaction writes generation `g+1`'s snapshot atomically (temp file +
 //!   rename), starts an empty journal, then deletes generation `g`; a crash
-//!   at any point leaves at least one restorable generation, and recovery
-//!   prefers the newest one that restores.
+//!   at any point leaves at least one restorable generation.
+//! - **Recovery** ([`Store::read_tenant`], [`Store::commit_tenant`]): the read
+//!   prefers the newest generation whose snapshot restores, scans its journal
+//!   front to back and stops at the first torn or CRC-failing frame, writing
+//!   nothing; the commit truncates the journal there, deletes the other
+//!   generations and reopens the log.  A corrupt tail costs the un-synced
+//!   suffix, never the log.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,11 +28,6 @@ mod frame;
 mod inject;
 mod store;
 
-pub use frame::{
-    crc32, scan_journal, Corruption, Journal, JournalScan, FRAME_HEADER_LEN, MAX_FRAME_LEN,
-};
+pub use frame::Corruption;
 pub use inject::{FaultInjector, IoPoint};
-pub use store::{
-    decode_tenant_name, encode_tenant_name, journal_path, list_generations, snapshot_path,
-    Recovered, Store, TenantInspection, TenantLog, WalStats,
-};
+pub use store::{Commit, Store, TenantLog, TenantRead, WalStats};

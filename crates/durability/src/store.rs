@@ -5,8 +5,11 @@
 //! *generation*: a `snapshot.<gen>.json` baseline plus a `journal.<gen>.log`
 //! tail of events applied since that baseline.  Compaction writes the next
 //! generation's snapshot atomically (temp file + rename), starts an empty
-//! journal, and deletes the superseded generation; recovery picks the
-//! highest generation whose snapshot restores and replays its journal tail.
+//! journal, and deletes the superseded generation.  Recovery is two steps: a
+//! read ([`Store::read_tenant`]) picks the highest generation whose snapshot
+//! restores and scans its journal, writing nothing, and a commit
+//! ([`Store::commit_tenant`]) truncates that journal to its intact prefix,
+//! deletes the other generations and reopens the log.
 
 use std::fmt::Display;
 use std::fs;
@@ -18,7 +21,7 @@ use crate::inject::FaultInjector;
 
 /// Encode a tenant name into a filesystem-safe directory name.  ASCII
 /// alphanumerics, `-` and `_` pass through; every other byte becomes `%XX`.
-pub fn encode_tenant_name(name: &str) -> String {
+fn encode_tenant_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for byte in name.bytes() {
         match byte {
@@ -32,7 +35,7 @@ pub fn encode_tenant_name(name: &str) -> String {
 /// Decode a directory name produced by [`encode_tenant_name`].  Returns
 /// `None` for names that are not valid encodings (stray files in the data
 /// directory are skipped, not fatal).
-pub fn decode_tenant_name(encoded: &str) -> Option<String> {
+fn decode_tenant_name(encoded: &str) -> Option<String> {
     let bytes = encoded.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -55,18 +58,18 @@ pub fn decode_tenant_name(encoded: &str) -> Option<String> {
 }
 
 /// Path of a generation's snapshot file inside a tenant directory.
-pub fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
+fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("snapshot.{generation}.json"))
 }
 
 /// Path of a generation's journal file inside a tenant directory.
-pub fn journal_path(dir: &Path, generation: u64) -> PathBuf {
+fn journal_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("journal.{generation}.log"))
 }
 
 /// Every generation with a snapshot file present in `dir`, sorted descending
 /// (newest first).  A missing directory lists as empty.
-pub fn list_generations(dir: &Path) -> io::Result<Vec<u64>> {
+fn list_generations(dir: &Path) -> io::Result<Vec<u64>> {
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -176,19 +179,10 @@ impl TenantLog {
     /// The snapshot rename is the commit point and runs *last*: any earlier
     /// failure (or a crash) leaves at most stray `.tmp`/journal files while
     /// the previous generation stays canonical, so a failed `begin` never
-    /// strands events appended to the previous generation's journal.
-    pub fn begin(
-        dir: impl Into<PathBuf>,
-        generation: u64,
-        snapshot_json: &str,
-        fsync_batch: usize,
-    ) -> io::Result<TenantLog> {
-        TenantLog::begin_with(dir, generation, snapshot_json, fsync_batch, None)
-    }
-
-    /// [`TenantLog::begin`] with a chaos hook installed on the new journal
-    /// (and inherited by every later compaction).
-    pub fn begin_with(
+    /// strands events appended to the previous generation's journal.  The
+    /// chaos hook, if any, is installed on the new journal and inherited by
+    /// every later compaction.
+    fn begin(
         dir: impl Into<PathBuf>,
         generation: u64,
         snapshot_json: &str,
@@ -199,7 +193,7 @@ impl TenantLog {
         fs::create_dir_all(&dir)?;
         let destination = snapshot_path(&dir, generation);
         let staged = stage_write(&destination, snapshot_json.as_bytes())?;
-        let mut journal = Journal::create(journal_path(&dir, generation), fsync_batch)?;
+        let mut journal = Journal::create(&journal_path(&dir, generation), fsync_batch)?;
         journal.set_injector(injector.clone());
         commit_staged(&staged, &destination)?;
         remove_other_generations(&dir, generation);
@@ -227,7 +221,7 @@ impl TenantLog {
     /// an empty journal, retiring the current journal tail.  O(snapshot), not
     /// O(journal length).
     pub fn compact(&mut self, snapshot_json: &str) -> io::Result<()> {
-        *self = TenantLog::begin_with(
+        *self = TenantLog::begin(
             self.dir.clone(),
             self.generation + 1,
             snapshot_json,
@@ -247,11 +241,6 @@ impl TenantLog {
         }
     }
 
-    /// The tenant directory this log writes into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The live generation number.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -264,25 +253,36 @@ impl TenantLog {
     }
 }
 
-/// A tenant rebuilt from disk: the restored baseline value, the journal tail
-/// to replay on top of it, and the log reopened for further appends.
+/// A tenant as [`Store::read_tenant`] found it on disk: the newest generation
+/// whose snapshot restores, and the intact records of that generation's journal.
 #[derive(Debug)]
-pub struct Recovered<T> {
+pub struct TenantRead<T> {
     /// The value the caller's `restore` closure produced from the chosen
     /// snapshot.
     pub value: T,
-    /// The generation the tenant recovered from.
+    /// The generation the tenant recovers from.
     pub generation: u64,
-    /// Journal records appended after that snapshot, in order; the caller
-    /// replays these through its normal apply path.
+    /// Journal records appended after that snapshot, in order, up to the first
+    /// damaged frame; the caller replays these through its normal apply path.
     pub records: Vec<Vec<u8>>,
-    /// The tenant's log, truncated past any corruption and open for append.
-    pub log: TenantLog,
-    /// Journal corruption found (and repaired by truncation), if any.
+    /// Journal corruption found past those records, if any.
     pub corruption: Option<Corruption>,
-    /// Human-readable recovery anomalies: skipped unreadable generations,
-    /// the corruption description, etc.
+    /// What the read found wrong, one line each: newer generations whose
+    /// snapshot was unreadable or rejected, and a damaged journal tail.
     pub notes: Vec<String>,
+    /// The writes that make this generation live, for [`Store::commit_tenant`].
+    pub commit: Commit,
+}
+
+/// The writes [`Store::read_tenant`] leaves to [`Store::commit_tenant`]: where the
+/// chosen generation's journal stands, so committing needs no second scan.
+#[derive(Debug)]
+pub struct Commit {
+    dir: PathBuf,
+    generation: u64,
+    snapshot_bytes: u64,
+    records: u64,
+    valid_bytes: u64,
 }
 
 /// Handle on a data directory holding one subdirectory per tenant.
@@ -314,16 +314,6 @@ impl Store {
         self.injector = injector;
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// The configured group-commit batch size.
-    pub fn fsync_batch(&self) -> usize {
-        self.fsync_batch
-    }
-
     /// The directory a tenant's generations live in.
     pub fn tenant_dir(&self, name: &str) -> PathBuf {
         self.root.join(encode_tenant_name(name))
@@ -353,7 +343,7 @@ impl Store {
     pub fn begin_tenant(&self, name: &str, snapshot_json: &str) -> io::Result<TenantLog> {
         let dir = self.tenant_dir(name);
         let next = list_generations(&dir)?.first().map_or(0, |gen| gen + 1);
-        TenantLog::begin_with(
+        TenantLog::begin(
             dir,
             next,
             snapshot_json,
@@ -372,17 +362,17 @@ impl Store {
         }
     }
 
-    /// Rebuild a tenant from disk.  Tries generations newest-first; the first
-    /// snapshot the `restore` closure accepts wins, its journal is scanned
-    /// (truncating a torn or corrupt tail in place), and older or unreadable
-    /// generations are deleted.  Fails with `InvalidData` when no generation
-    /// restores — the caller decides whether that aborts startup (it should
-    /// not; skip the tenant and keep serving the rest).
-    pub fn load_tenant<T, E: Display>(
+    /// Read a tenant back from disk, writing nothing.  Tries generations
+    /// newest-first; the first snapshot the `restore` closure accepts wins and
+    /// its journal is scanned up to the first torn or corrupt frame.  Fails with
+    /// `InvalidData` when no generation restores — the caller decides whether
+    /// that aborts startup (it should not; skip the tenant and keep serving the
+    /// rest).
+    pub fn read_tenant<T, E: Display>(
         &self,
         name: &str,
         mut restore: impl FnMut(&str) -> Result<T, E>,
-    ) -> io::Result<Recovered<T>> {
+    ) -> io::Result<TenantRead<T>> {
         let dir = self.tenant_dir(name);
         let generations = list_generations(&dir)?;
         if generations.is_empty() {
@@ -393,8 +383,7 @@ impl Store {
         }
         let mut notes = Vec::new();
         for generation in generations {
-            let snapshot_file = snapshot_path(&dir, generation);
-            let snapshot_json = match fs::read_to_string(&snapshot_file) {
+            let snapshot_json = match fs::read_to_string(snapshot_path(&dir, generation)) {
                 Ok(json) => json,
                 Err(e) => {
                     notes.push(format!("generation {generation}: unreadable snapshot: {e}"));
@@ -408,30 +397,24 @@ impl Store {
                     continue;
                 }
             };
-            let (mut journal, scan) =
-                Journal::recover(journal_path(&dir, generation), self.fsync_batch)?;
-            journal.set_injector(self.injector.clone());
+            let scan = scan_journal(&journal_path(&dir, generation))?;
             if let Some(corruption) = &scan.corruption {
                 notes.push(format!(
-                    "generation {generation}: {corruption}; truncated journal to {} intact record(s)",
+                    "generation {generation}: {corruption}; {} intact record(s) precede it",
                     scan.records.len()
                 ));
             }
-            // The chosen generation is now canonical: stale newer generations
-            // with rejected snapshots must not shadow it on the next boot.
-            remove_other_generations(&dir, generation);
-            return Ok(Recovered {
+            return Ok(TenantRead {
                 value,
                 generation,
-                records: scan.records,
-                log: TenantLog {
+                commit: Commit {
                     dir,
                     generation,
                     snapshot_bytes: snapshot_json.len() as u64,
-                    journal,
-                    fsync_batch: self.fsync_batch,
-                    injector: self.injector.clone(),
+                    records: scan.records.len() as u64,
+                    valid_bytes: scan.valid_bytes,
                 },
+                records: scan.records,
                 corruption: scan.corruption,
                 notes,
             });
@@ -445,45 +428,29 @@ impl Store {
         ))
     }
 
-    /// Read-only health report for a tenant, used by `fsck`: generation
-    /// inventory, snapshot bytes, and a journal scan.  Unlike
-    /// [`Store::load_tenant`] this never truncates or deletes anything.
-    pub fn inspect_tenant(&self, name: &str) -> io::Result<TenantInspection> {
-        let dir = self.tenant_dir(name);
-        let generations = list_generations(&dir)?;
-        let newest = generations.first().copied();
-        let (snapshot_json, snapshot_error) = match newest {
-            Some(gen) => match fs::read_to_string(snapshot_path(&dir, gen)) {
-                Ok(json) => (Some(json), None),
-                Err(e) => (None, Some(e.to_string())),
-            },
-            None => (None, Some("no snapshot file".to_string())),
-        };
-        let scan = match newest {
-            Some(gen) => Some(scan_journal(&journal_path(&dir, gen))?),
-            None => None,
-        };
-        Ok(TenantInspection {
-            generations,
-            snapshot_json,
-            snapshot_error,
-            scan,
+    /// Make a read generation the tenant's live state: truncate its journal to
+    /// the intact prefix the read found, delete every other generation, and open
+    /// the log for appends.  The journal is not scanned again.
+    pub fn commit_tenant(&self, commit: &Commit) -> io::Result<TenantLog> {
+        let mut journal = Journal::reopen(
+            &journal_path(&commit.dir, commit.generation),
+            self.fsync_batch,
+            commit.records,
+            commit.valid_bytes,
+        )?;
+        journal.set_injector(self.injector.clone());
+        // The chosen generation is now canonical: stale newer generations
+        // with rejected snapshots must not shadow it on the next boot.
+        remove_other_generations(&commit.dir, commit.generation);
+        Ok(TenantLog {
+            dir: commit.dir.clone(),
+            generation: commit.generation,
+            snapshot_bytes: commit.snapshot_bytes,
+            journal,
+            fsync_batch: self.fsync_batch,
+            injector: self.injector.clone(),
         })
     }
-}
-
-/// What [`Store::inspect_tenant`] found on disk for one tenant.
-#[derive(Debug)]
-pub struct TenantInspection {
-    /// All generations present, newest first.
-    pub generations: Vec<u64>,
-    /// Contents of the newest generation's snapshot, if readable.
-    pub snapshot_json: Option<String>,
-    /// Why the snapshot could not be read, if it couldn't.
-    pub snapshot_error: Option<String>,
-    /// Scan of the newest generation's journal (`None` when the tenant has
-    /// no generations at all).
-    pub scan: Option<crate::frame::JournalScan>,
 }
 
 #[cfg(test)]
@@ -500,7 +467,22 @@ mod tests {
     }
 
     fn cleanup(store: Store) {
-        let _ = fs::remove_dir_all(store.root());
+        let _ = fs::remove_dir_all(store.root);
+    }
+
+    /// Startup recovery's two steps: read the tenant, then commit the read.
+    fn load(
+        store: &Store,
+        name: &str,
+        restore: fn(&str) -> Result<String, String>,
+    ) -> TenantRead<String> {
+        let read = store.read_tenant(name, restore).unwrap();
+        store.commit_tenant(&read.commit).unwrap();
+        read
+    }
+
+    fn accept(json: &str) -> Result<String, String> {
+        Ok(json.to_string())
     }
 
     #[test]
@@ -535,9 +517,7 @@ mod tests {
         log.sync().unwrap();
         drop(log);
 
-        let recovered = store
-            .load_tenant("acme", |json| Ok::<_, String>(json.to_string()))
-            .unwrap();
+        let recovered = load(&store, "acme", accept);
         assert_eq!(recovered.value, "{\"state\":0}");
         assert_eq!(recovered.generation, 0);
         assert_eq!(
@@ -563,9 +543,7 @@ mod tests {
         // Only the new generation survives on disk.
         let dir = store.tenant_dir("acme");
         assert_eq!(list_generations(&dir).unwrap(), vec![1]);
-        let recovered = store
-            .load_tenant("acme", |json| Ok::<_, String>(json.to_string()))
-            .unwrap();
+        let recovered = load(&store, "acme", accept);
         assert_eq!(recovered.value, "base-1");
         assert_eq!(recovered.records, vec![b"two".to_vec()]);
         cleanup(store);
@@ -583,15 +561,13 @@ mod tests {
         fs::write(snapshot_path(&dir, 1), "corrupt").unwrap();
         drop(log);
 
-        let recovered = store
-            .load_tenant("acme", |json| {
-                if json == "good" {
-                    Ok(json.to_string())
-                } else {
-                    Err("unparseable".to_string())
-                }
-            })
-            .unwrap();
+        let recovered = load(&store, "acme", |json| {
+            if json == "good" {
+                Ok(json.to_string())
+            } else {
+                Err("unparseable".to_string())
+            }
+        });
         assert_eq!(recovered.value, "good");
         assert_eq!(recovered.generation, 0);
         assert_eq!(recovered.records, vec![b"tail".to_vec()]);
@@ -618,15 +594,11 @@ mod tests {
         file.set_len(len - 3).unwrap();
         drop(file);
 
-        let recovered = store
-            .load_tenant("acme", |json| Ok::<_, String>(json.to_string()))
-            .unwrap();
+        let recovered = load(&store, "acme", accept);
         assert_eq!(recovered.records, vec![b"whole".to_vec()]);
         assert!(recovered.corruption.is_some());
         // Truncation is persisted: a second load sees a clean journal.
-        let again = store
-            .load_tenant("acme", |json| Ok::<_, String>(json.to_string()))
-            .unwrap();
+        let again = load(&store, "acme", accept);
         assert!(again.corruption.is_none());
         assert_eq!(again.records, vec![b"whole".to_vec()]);
         cleanup(store);
@@ -637,8 +609,8 @@ mod tests {
         let store = temp_store("remove");
         store.begin_tenant("keep", "s").unwrap();
         store.begin_tenant("drop", "s").unwrap();
-        fs::create_dir_all(store.root().join("not!a!tenant")).unwrap();
-        fs::write(store.root().join("stray-file"), "x").unwrap();
+        fs::create_dir_all(store.root.join("not!a!tenant")).unwrap();
+        fs::write(store.root.join("stray-file"), "x").unwrap();
         store.remove_tenant("drop").unwrap();
         store.remove_tenant("drop").unwrap();
         assert_eq!(store.tenant_names().unwrap(), vec!["keep".to_string()]);
@@ -656,34 +628,80 @@ mod tests {
         let log = store.begin_tenant("acme", "new").unwrap();
         assert_eq!(log.generation(), 1);
         drop(log);
-        let recovered = store
-            .load_tenant("acme", |json| Ok::<_, String>(json.to_string()))
-            .unwrap();
+        let recovered = load(&store, "acme", accept);
         assert_eq!(recovered.value, "new");
         assert!(recovered.records.is_empty());
         cleanup(store);
     }
 
     #[test]
-    fn inspect_is_read_only() {
-        let store = temp_store("inspect");
+    fn read_writes_nothing_until_commit() {
+        let store = temp_store("read-only");
+        store.begin_tenant("acme", "old").unwrap();
+        let old_snapshot = fs::read(snapshot_path(&store.tenant_dir("acme"), 0)).unwrap();
         let mut log = store.begin_tenant("acme", "base").unwrap();
-        log.append(b"rec").unwrap();
+        log.append(b"whole").unwrap();
+        log.append(b"torn!").unwrap();
         log.sync().unwrap();
-        let journal_file = journal_path(&store.tenant_dir("acme"), 0);
         drop(log);
-        let before = fs::read(&journal_file).unwrap();
-        // Corrupt the tail, inspect, and confirm the file is untouched.
-        let mut bytes = before.clone();
-        bytes.push(0xff);
-        fs::write(&journal_file, &bytes).unwrap();
-        let inspection = store.inspect_tenant("acme").unwrap();
-        assert_eq!(inspection.generations, vec![0]);
-        assert!(inspection.snapshot_json.is_some());
-        let scan = inspection.scan.unwrap();
-        assert!(!scan.is_clean());
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(fs::read(&journal_file).unwrap(), bytes);
+        // A torn tail on the live generation 1, a stale generation 0 beside it,
+        // and a newer generation 2 whose snapshot the restorer rejects.
+        let dir = store.tenant_dir("acme");
+        let journal_file = journal_path(&dir, 1);
+        let torn = fs::metadata(&journal_file).unwrap().len() - 3;
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&journal_file)
+            .unwrap()
+            .set_len(torn)
+            .unwrap();
+        fs::write(snapshot_path(&dir, 0), &old_snapshot).unwrap();
+        fs::write(journal_path(&dir, 0), b"stale").unwrap();
+        fs::write(snapshot_path(&dir, 2), "corrupt").unwrap();
+        let sizes = |dir: &Path| -> Vec<(String, u64)> {
+            let mut sizes: Vec<_> = fs::read_dir(dir)
+                .unwrap()
+                .map(|entry| {
+                    let entry = entry.unwrap();
+                    let name = entry.file_name().into_string().unwrap();
+                    (name, entry.metadata().unwrap().len())
+                })
+                .collect();
+            sizes.sort();
+            sizes
+        };
+        let before = sizes(&dir);
+
+        let read = store
+            .read_tenant("acme", |json| {
+                if json == "corrupt" {
+                    Err("unparseable".to_string())
+                } else {
+                    Ok(json.to_string())
+                }
+            })
+            .unwrap();
+        assert_eq!(read.value, "base");
+        assert_eq!(read.generation, 1);
+        assert_eq!(read.records, vec![b"whole".to_vec()]);
+        assert!(read.corruption.is_some());
+        assert_eq!(read.notes.len(), 2, "{:?}", read.notes);
+        assert!(read.notes[0].starts_with("generation 2: snapshot rejected"));
+        assert!(read.notes[1].ends_with("1 intact record(s) precede it"));
+        assert_eq!(sizes(&dir), before, "the read wrote nothing");
+        assert_eq!(list_generations(&dir).unwrap(), vec![2, 1, 0]);
+
+        // The commit truncates the torn tail and deletes the other generations.
+        let mut log = store.commit_tenant(&read.commit).unwrap();
+        assert_eq!(list_generations(&dir).unwrap(), vec![1]);
+        assert!(fs::metadata(&journal_file).unwrap().len() < torn);
+        assert_eq!(log.stats().log_records, 1);
+        log.append(b"after").unwrap();
+        log.sync().unwrap();
+        drop(log);
+        let again = load(&store, "acme", accept);
+        assert!(again.corruption.is_none());
+        assert_eq!(again.records, vec![b"whole".to_vec(), b"after".to_vec()]);
         cleanup(store);
     }
 }

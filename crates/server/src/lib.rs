@@ -89,10 +89,10 @@ pub mod server;
 pub use faults::{FaultKind, FaultPlan, FaultSpec};
 pub use frame::{FrameRequest, FrameResponse, RequestFrame, ResponseFrame};
 pub use protocol::{
-    BatchInstance, BatchOutcome, ErrorCode, HealthReport, Request, Response, ShardHealth,
-    TenantHealth, WireError,
+    BatchOutcome, ErrorCode, HealthReport, Request, Response, ShardHealth, TenantHealth, WireError,
 };
 pub use registry::{
-    AdmissionConfig, DurabilityConfig, Engine, JournalRecord, Registry, RegistryConfig,
+    audit_data_dir, AdmissionConfig, DurabilityConfig, Engine, JournalRecord, Registry,
+    RegistryConfig, TenantAudit,
 };
 pub use server::{serve, spawn, Client, Framing, RetryPolicy, ServerHandle};

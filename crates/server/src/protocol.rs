@@ -16,7 +16,7 @@
 //! produce a descriptive error naming the valid operations.
 
 use busytime::online::{Event, OnlineSnapshot};
-use busytime::report::{ScheduleReport, SimulationReport};
+use busytime::report::{InstanceFile, ScheduleReport, SimulationReport};
 use busytime_durability::WalStats;
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -216,16 +216,6 @@ fn optional<T: Deserialize>(value: &Value, key: &str) -> Result<Option<T>, Error
     }
 }
 
-/// One instance inside a `batch` request: the same shape as the CLI's instance files
-/// (`{"capacity": g, "jobs": [[start, end], …]}`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchInstance {
-    /// The parallelism parameter `g`.
-    pub capacity: usize,
-    /// Jobs as `[start, end)` tick pairs.
-    pub jobs: Vec<(i64, i64)>,
-}
-
 /// A request to the scheduling daemon.
 ///
 /// Tenant-scoped operations (everything except [`Request::Batch`] and
@@ -304,8 +294,9 @@ pub enum Request {
     /// Solve a batch of offline instances through `Solver::solve_batch` on the
     /// thread pool (MaxThroughput under `budget` when given, MinBusy otherwise).  Not tenant-scoped: batches run beside the shards.
     Batch {
-        /// The instances to solve, in order.
-        instances: Vec<BatchInstance>,
+        /// The instances to solve, in order, in the shape of the CLI's instance
+        /// files: one [`InstanceFile`] type serves both.
+        instances: Vec<InstanceFile>,
         /// Busy-time budget; `null`/absent solves MinBusy.
         budget: Option<i64>,
     },
@@ -492,7 +483,7 @@ impl Deserialize for Request {
                 budget: usize::deserialize(value.field("budget")?)?,
             }),
             "batch" => Ok(Request::Batch {
-                instances: Vec::<BatchInstance>::deserialize(value.field("instances")?)?,
+                instances: Vec::<InstanceFile>::deserialize(value.field("instances")?)?,
                 budget: optional(value, "budget")?,
             }),
             "stats" => Ok(Request::Stats),
@@ -834,7 +825,7 @@ mod tests {
             budget: 64,
         });
         round_trip(Request::Batch {
-            instances: vec![BatchInstance {
+            instances: vec![InstanceFile {
                 capacity: 2,
                 jobs: vec![(0, 10), (2, 12)],
             }],

@@ -33,7 +33,9 @@
 //!   registry ([`Registry::with_durability`]) the journal write that precedes
 //!   every acknowledgement;
 //! * `recovery` — the journal and snapshot formats ([`JournalRecord`]) and the
-//!   rebuild of a shard's tenants from disk, at startup and on respawn.
+//!   one read-and-replay of a tenant's durable state, behind both the rebuild of
+//!   a shard's tenants at startup and on respawn and the offline audit
+//!   ([`audit_data_dir`]) `busytime fsck` prints.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::path::PathBuf;
@@ -42,14 +44,12 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use busytime::report::ScheduleReport;
+use busytime::report::{InstanceFile, ScheduleReport};
 use busytime::{Duration, Instance, Problem, Solver};
 use busytime_durability::{FaultInjector, IoPoint, Store};
 
 use crate::faults::{FaultKind, FaultPlan, InjectedKill};
-use crate::protocol::{
-    BatchInstance, BatchOutcome, ErrorCode, HealthReport, Request, Response, ShardHealth,
-};
+use crate::protocol::{BatchOutcome, ErrorCode, HealthReport, Request, Response, ShardHealth};
 
 mod admission;
 mod apply;
@@ -58,7 +58,7 @@ mod shard;
 
 use admission::{Admission, InflightGuard};
 pub use apply::{MAX_ABS_TICK, MAX_CAPACITY, TRAJECTORY_WINDOW};
-pub use recovery::JournalRecord;
+pub use recovery::{audit_data_dir, JournalRecord, TenantAudit};
 use shard::{ShardCall, ShardMetrics, ShardSlot, ShardStore, Supervisor};
 
 /// How long a shard handoff may wait on a full queue before shedding (with
@@ -556,7 +556,7 @@ impl Engine {
     /// Fan a batch of instances out through [`Solver::solve_batch`]; per-instance
     /// failures (malformed windows, zero capacity) come back inline without failing
     /// the sibling instances.
-    fn solve_batch(&self, instances: &[BatchInstance], budget: Option<i64>) -> Response {
+    fn solve_batch(&self, instances: &[InstanceFile], budget: Option<i64>) -> Response {
         let budget = match budget {
             Some(t) if t < 0 => {
                 return Response::fail(ErrorCode::Rejected, "the budget must be non-negative")
@@ -567,10 +567,7 @@ impl Engine {
         let parsed: Vec<Result<Instance, String>> = instances
             .iter()
             .enumerate()
-            .map(|(i, file)| {
-                Instance::try_from_ticks(&file.jobs, file.capacity)
-                    .map_err(|e| format!("instance {i}: {e}"))
-            })
+            .map(|(i, file)| file.to_instance().map_err(|e| format!("instance {i}: {e}")))
             .collect();
         let problems: Vec<Problem> = parsed
             .iter()
@@ -787,11 +784,11 @@ mod tests {
         });
         let Response::Batch(outcomes) = engine.call(Request::Batch {
             instances: vec![
-                BatchInstance {
+                InstanceFile {
                     capacity: 2,
                     jobs: vec![(0, 10), (2, 12)],
                 },
-                BatchInstance {
+                InstanceFile {
                     capacity: 0,
                     jobs: vec![(0, 1)],
                 },

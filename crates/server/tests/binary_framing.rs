@@ -10,11 +10,10 @@ use std::io::{Cursor, Write};
 use std::net::{TcpListener, TcpStream};
 
 use busytime::online::{Event, OnlineScheduler};
+use busytime::report::InstanceFile;
 use busytime::{Interval, OnlinePolicy};
 use busytime_server::frame::{DecodeError, MAX_NAME, MAX_PAYLOAD};
-use busytime_server::{
-    serve, BatchInstance, FrameRequest, Registry, Request, RequestFrame, ResponseFrame,
-};
+use busytime_server::{serve, FrameRequest, Registry, Request, RequestFrame, ResponseFrame};
 use proptest::prelude::*;
 
 const DOC: &str = include_str!("../../../PROTOCOL.md");
@@ -333,7 +332,7 @@ proptest! {
             9 => Request::Batch {
                 instances: jobs
                     .iter()
-                    .map(|&(s, l)| BatchInstance { capacity, jobs: vec![(s, s + l)] })
+                    .map(|&(s, l)| InstanceFile { capacity, jobs: vec![(s, s + l)] })
                     .collect(),
                 budget,
             },
