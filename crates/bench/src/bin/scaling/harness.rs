@@ -60,6 +60,22 @@ pub fn time_trials<T>(trials: usize, mut f: impl FnMut() -> T) -> f64 {
     )
 }
 
+/// The median seconds of `K` paths over `trials` interleaved trials.  Path `k` runs
+/// in position `(trial + k) % K`, so no path is always timed right after the same
+/// one: a FirstFit run right after another path's can read slower.
+pub fn time_rotated<T, const K: usize>(trials: usize, paths: [&dyn Fn() -> T; K]) -> [f64; K] {
+    let mut samples: [Vec<f64>; K] = std::array::from_fn(|_| Vec::new());
+    for trial in 0..trials {
+        for position in 0..K {
+            let k = (position + K - trial % K) % K;
+            let started = Instant::now();
+            std::hint::black_box(paths[k]());
+            samples[k].push(started.elapsed().as_secs_f64());
+        }
+    }
+    samples.map(median)
+}
+
 /// Run `f` on a fresh registry, then drop the engine and join the shards.
 pub fn with_registry<R>(config: RegistryConfig, f: impl FnOnce(&Engine) -> R) -> R {
     let registry = Registry::with_config(config).expect("the bench registry starts");

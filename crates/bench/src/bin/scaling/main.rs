@@ -10,7 +10,8 @@
 //!
 //! Each section is a module that owns its row type, its measurement and its gate,
 //! and runs in this order: `rows` (kernel-backed hot paths against their scan
-//! references and the adaptive FirstFit dispatch), `online`, `defrag`, `exact`,
+//! references and the adaptive FirstFit dispatch), `tuning` (the calibration grid of
+//! FirstFit's scan/kernel cutover), `online`, `defrag`, `exact`,
 //! `batch`, `server`, `durability`, `recovery`, `server_load` (the wire) and
 //! `resilience`.  The file holds a `meta` object (revision, dirty tree, cores,
 //! profile, quick flag, trial counts) and then every section, one row object per
@@ -31,6 +32,7 @@ mod resilience;
 mod rows;
 mod server;
 mod server_load;
+mod tuning;
 
 use serde::{Serialize, Value};
 
@@ -214,6 +216,7 @@ fn main() {
 
     let sections = [
         Section::new("rows", rows::measure(quick), rows::check, quick),
+        Section::new("tuning", tuning::measure(quick), tuning::check, quick),
         Section::new("online", online::measure(quick), online::check, quick),
         Section::new("defrag", defrag::measure(quick), defrag::check, quick),
         Section::new("exact", exact::measure(quick), exact::check, quick),

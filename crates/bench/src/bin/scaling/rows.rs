@@ -3,15 +3,13 @@
 //! evolve together), and FirstFit's adaptive dispatch against the better of the
 //! two.
 
-use std::time::Instant;
-
 use busytime::maxthroughput::{greedy_fallback, greedy_fallback_scan};
 use busytime::minbusy::{first_fit_in_order, first_fit_in_order_kernel, first_fit_in_order_scan};
 use busytime::{Duration, Instance, Interval, Schedule};
 use busytime_workload::{proper_instance, seeded_rng};
 use serde::Serialize;
 
-use crate::harness::{median, sizes, time_trials, trials_for, CAPACITY};
+use crate::harness::{sizes, time_rotated, time_trials, trials_for, CAPACITY};
 
 /// Wall-clock budget for one quadratic-baseline measurement: a baseline whose time,
 /// extrapolated from the previous size, would exceed it is recorded as skipped
@@ -63,22 +61,6 @@ pub struct Row {
     /// Best of {scan, kernel} over adaptive — parity (1.0) or better means the
     /// cutover thresholds route this size correctly.
     adaptive_speedup: Option<f64>,
-}
-
-/// The median seconds of three paths over `trials` interleaved trials.  Path `k` runs
-/// in position `(trial + k) % 3`, so no path is always timed right after the same
-/// one: a FirstFit run right after another path's can read slower.
-fn time_rotated<T>(trials: usize, paths: [&dyn Fn() -> T; 3]) -> [f64; 3] {
-    let mut samples: [Vec<f64>; 3] = Default::default();
-    for trial in 0..trials {
-        for position in 0..3 {
-            let k = (position + 3 - trial % 3) % 3;
-            let started = Instant::now();
-            std::hint::black_box(paths[k]());
-            samples[k].push(started.elapsed().as_secs_f64());
-        }
-    }
-    samples.map(median)
 }
 
 /// Quadratic extrapolation of a baseline measurement to a larger size; `None` when no

@@ -1,6 +1,7 @@
-//! The `busytime` command-line tool.  `busytime --help` prints the synopsis of
-//! every subcommand; the file formats and the subcommands themselves are
-//! documented on the `busytime-cli` library, which implements them.
+//! The `busytime` command-line tool.  `busytime --help` (or `-h`) prints the
+//! synopsis of every subcommand to stdout and exits 0; the file formats and the
+//! subcommands themselves are documented on the `busytime-cli` library, which
+//! implements them.
 //!
 //! Every subcommand declares its positional argument, its value flags and its
 //! switches once, in one call to [`parse`], and the same rules then hold for all of
@@ -23,10 +24,12 @@ use busytime_server::{AdmissionConfig, DurabilityConfig, Framing, RegistryConfig
 /// Default host:port of `serve` and `client` (loopback; pass `--addr` to change).
 const DEFAULT_ADDR: &str = "127.0.0.1:7878";
 
+/// The synopsis of every subcommand.
+const USAGE: &str = "usage:\n  busytime solve <instance.json> [--algorithm NAME] [--exact-only] [--output schedule.json]\n  busytime bound <instance.json> [--max-nodes N] [--max-millis MS] [--output bound.json]\n  busytime throughput <instance.json> --budget T [--algorithm NAME] [--exact-only] [--output schedule.json]\n  busytime batch <instances.json> [--budget T] [--threads N] [--algorithm NAME] [--exact-only] [--output results.json]\n  busytime simulate <trace.json> [--policy POLICY] [--defrag-budget K] [--output simulation.json]\n  busytime generate --class CLASS --jobs N --capacity G [--seed S] [--output instance.json]\n  busytime serve [--addr HOST:PORT] [--shards N] [--data-dir PATH] [--fsync-batch N] [--compact-every N] [--max-inflight N] [--tenant-rate R] [--defrag-budget K]\n  busytime client <trace.json> --tenant NAME [--addr HOST:PORT] [--policy POLICY] [--binary] [--pipeline N] [--output report.json]\n  busytime fsck <data-dir>";
+
+/// Print the synopsis to stderr and exit 2: the answer to every usage error.
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  busytime solve <instance.json> [--algorithm NAME] [--exact-only] [--output schedule.json]\n  busytime bound <instance.json> [--max-nodes N] [--max-millis MS] [--output bound.json]\n  busytime throughput <instance.json> --budget T [--algorithm NAME] [--exact-only] [--output schedule.json]\n  busytime batch <instances.json> [--budget T] [--threads N] [--algorithm NAME] [--exact-only] [--output results.json]\n  busytime simulate <trace.json> [--policy POLICY] [--defrag-budget K] [--output simulation.json]\n  busytime generate --class CLASS --jobs N --capacity G [--seed S] [--output instance.json]\n  busytime serve [--addr HOST:PORT] [--shards N] [--data-dir PATH] [--fsync-batch N] [--compact-every N] [--max-inflight N] [--tenant-rate R] [--defrag-budget K]\n  busytime client <trace.json> --tenant NAME [--addr HOST:PORT] [--policy POLICY] [--binary] [--pipeline N] [--output report.json]\n  busytime fsck <data-dir>"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -292,6 +295,7 @@ fn main() {
                 a.value("--output"),
             );
         }
+        "--help" | "-h" => println!("{USAGE}"),
         _ => usage(),
     }
 }

@@ -5,8 +5,18 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+/// A temporary directory, removed when the guard drops: at the end of a test, and
+/// also when its assertion fails and the test unwinds.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// A fresh temporary directory holding a small proper-clique instance file.
-fn instance_dir(name: &str) -> (PathBuf, PathBuf) {
+fn instance_dir(name: &str) -> (TempDir, PathBuf) {
     let dir = std::env::temp_dir().join(format!("busytime-flags-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let instance = dir.join("inst.json");
@@ -15,7 +25,7 @@ fn instance_dir(name: &str) -> (PathBuf, PathBuf) {
         r#"{"capacity": 2, "jobs": [[0, 10], [2, 12], [4, 14], [6, 16]]}"#,
     )
     .unwrap();
-    (dir, instance)
+    (TempDir(dir), instance)
 }
 
 fn busytime(args: &[&str]) -> Output {
@@ -25,6 +35,7 @@ fn busytime(args: &[&str]) -> Output {
         .unwrap()
 }
 
+/// A usage error: the synopsis on stderr, exit 2.
 fn assert_usage(output: &Output) {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
@@ -33,19 +44,18 @@ fn assert_usage(output: &Output) {
 
 #[test]
 fn unparsable_budget_is_a_usage_error() {
-    let (dir, inst) = instance_dir("budget");
+    let (_dir, inst) = instance_dir("budget");
     assert_usage(&busytime(&[
         "throughput",
         inst.to_str().unwrap(),
         "--budget",
         "abc",
     ]));
-    std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
 fn a_later_malformed_value_is_not_discarded() {
-    let (dir, inst) = instance_dir("repeat");
+    let (_dir, inst) = instance_dir("repeat");
     let inst = inst.to_str().unwrap();
     // Every occurrence of a repeated flag is parsed, whichever one is malformed.
     for budgets in [["50", "abc"], ["abc", "50"]] {
@@ -58,22 +68,20 @@ fn a_later_malformed_value_is_not_discarded() {
             budgets[1],
         ]));
     }
-    std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
 fn a_named_flag_without_its_value_is_a_usage_error() {
-    let (dir, inst) = instance_dir("named");
+    let (_dir, inst) = instance_dir("named");
     let inst = inst.to_str().unwrap();
     assert_usage(&busytime(&["solve", inst, "--algorithm"]));
     assert_usage(&busytime(&["simulate", inst, "--policy"]));
     assert_usage(&busytime(&["generate", "--class"]));
-    std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
 fn an_unknown_name_prints_the_valid_names() {
-    let (dir, inst) = instance_dir("unknown-name");
+    let (_dir, inst) = instance_dir("unknown-name");
     let inst = inst.to_str().unwrap();
     for (args, names) in [
         (
@@ -90,20 +98,18 @@ fn an_unknown_name_prints_the_valid_names() {
         assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
         assert!(stderr.contains(names), "stderr: {stderr}");
     }
-    std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
 fn missing_output_path_is_a_usage_error() {
-    let (dir, inst) = instance_dir("output");
+    let (_dir, inst) = instance_dir("output");
     assert_usage(&busytime(&["solve", inst.to_str().unwrap(), "--output"]));
-    std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
 fn valid_flags_solve_and_write_the_output() {
     let (dir, inst) = instance_dir("valid");
-    let out = dir.join("schedule.json");
+    let out = dir.0.join("schedule.json");
     let output = busytime(&[
         "throughput",
         inst.to_str().unwrap(),
@@ -115,5 +121,25 @@ fn valid_flags_solve_and_write_the_output() {
     assert_eq!(output.status.code(), Some(0), "{output:?}");
     let written = std::fs::read_to_string(&out).unwrap();
     assert!(written.contains("\"algorithm\""), "{written}");
-    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn help_prints_the_synopsis_to_stdout_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let output = busytime(&[flag]);
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert_eq!(output.status.code(), Some(0), "{flag}: {output:?}");
+        assert!(stdout.starts_with("usage:"), "{flag}: {stdout}");
+        assert!(
+            stdout.contains("busytime fsck <data-dir>"),
+            "{flag}: {stdout}"
+        );
+        assert!(output.stderr.is_empty(), "{flag}: {output:?}");
+    }
+    // Anything else unrecognised stays a usage error on stderr.
+    for args in [&[][..], &["--helpme"], &["solve", "--help"]] {
+        let output = busytime(args);
+        assert_usage(&output);
+        assert!(output.stdout.is_empty(), "{args:?}: {output:?}");
+    }
 }

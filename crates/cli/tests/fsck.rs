@@ -8,16 +8,26 @@ use busytime::online::{OnlinePolicy, OnlineScheduler};
 use busytime_durability::Store;
 use busytime_server::{DurabilityConfig, Registry, Request, Response};
 
-/// A scratch data directory, fresh per call.
-fn temp_data_dir(tag: &str) -> PathBuf {
+/// A temporary directory, removed when the guard drops: at the end of a test, and
+/// also when its assertion fails and the test unwinds.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A temporary data directory, fresh per call, and the guard that removes it.
+fn temp_data_dir(tag: &str) -> (TempDir, PathBuf) {
     let dir = std::env::temp_dir().join(format!("busytime-fsck-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    (TempDir(dir.clone()), dir)
 }
 
 #[test]
 fn fsck_rejects_the_out_of_range_record_recovery_truncates() {
-    let dir = temp_data_dir("out-of-range");
+    let (_guard, dir) = temp_data_dir("out-of-range");
     let store = Store::open(&dir, 1).unwrap();
     let empty = OnlineScheduler::new(2, OnlinePolicy::FirstFit).unwrap();
     let mut log = store
@@ -57,12 +67,11 @@ fn fsck_rejects_the_out_of_range_record_recovery_truncates() {
     }
     drop(engine);
     registry.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn fsck_names_the_generation_a_restart_falls_back_to() {
-    let dir = temp_data_dir("fallback");
+    let (_guard, dir) = temp_data_dir("fallback");
     let store = Store::open(&dir, 1).unwrap();
     let empty = OnlineScheduler::new(2, OnlinePolicy::FirstFit).unwrap();
     let mut log = store
@@ -128,5 +137,4 @@ fn fsck_names_the_generation_a_restart_falls_back_to() {
         report.contains("generation 0, snapshot ok, 4 replayable journal event(s)"),
         "{report}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -25,8 +25,8 @@ pub type JobId = usize;
 /// preserved (jobs are identified by their index in the sorted order).
 ///
 /// The sorted job vector is the only copy of the jobs.  Next to it the instance keeps
-/// what its construction pass computes — `len(J)`, `span(J)` and the hull end — and
-/// the two length orders, each sorted once on first use.  These are derived data:
+/// what its construction pass computes — `len(J)` and `span(J)` — and the two length
+/// orders, each sorted once on first use.  These are derived data:
 /// equality and the serialized form consider only the jobs and the capacity.
 #[derive(Debug, Clone)]
 pub struct Instance {
@@ -36,9 +36,6 @@ pub struct Instance {
     total_len: i64,
     /// `span(J)` in ticks.
     span: i64,
-    /// Largest job end in ticks (`i64::MIN` when empty): the hull is
-    /// `[jobs[0].start, max_end)`.
-    max_end: i64,
     by_len_desc: OnceLock<Vec<u32>>,
     by_len_asc: OnceLock<Vec<u32>>,
 }
@@ -103,7 +100,6 @@ impl Instance {
             capacity,
             total_len,
             span,
-            max_end,
             by_len_desc: OnceLock::new(),
             by_len_asc: OnceLock::new(),
         }
@@ -196,15 +192,6 @@ impl Instance {
     /// Span `span(J)` of all jobs (Definition 2.2), computed at construction.
     pub fn span(&self) -> Duration {
         Duration::new(self.span)
-    }
-
-    /// Average coverage depth over the hull, `len(J) / (hull length)` — the `O(1)`
-    /// density estimate the adaptive dispatch thresholds consume (0.0 when empty).
-    pub(crate) fn hull_density(&self) -> f64 {
-        match self.jobs.first() {
-            Some(first) => self.total_len as f64 / (self.max_end - first.start().ticks()) as f64,
-            None => 0.0,
-        }
     }
 
     /// Classification of the instance (clique / one-sided / proper / connected).

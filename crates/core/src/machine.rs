@@ -13,6 +13,12 @@
 //!   time of a placement (`len(J) −` already-covered length) and the machine's running
 //!   busy time without any re-unioning.
 //!
+//! Both keep their keys in sorted chunks of at most
+//! [`CHUNK_LEN`](busytime_interval::CHUNK_LEN) entries, the first chunk inline: a
+//! probe is a binary search over contiguous keys, a thread or a machine of at most
+//! that many boundaries is one vector, and a job placed after everything on its
+//! thread is an append.
+//!
 //! [`MachinePool`] assembles machine states into a growable pool behind the global
 //! [`PlacementIndex`], keeping the per-machine digests and the total busy time
 //! incrementally consistent across insertions *and removals* — a machine whose load
@@ -210,7 +216,7 @@ impl MachineState {
     /// or `None` when the job was not on that thread.
     ///
     /// This is the *reopen* path of the online engine: the hull is recomputed exactly
-    /// from the coverage profile (`O(log n)`, no high-water mark), and the saturated
+    /// from the coverage profile (`O(1)`, no high-water mark), and the saturated
     /// stretch survives whenever the removed window provably missed it — anywhere else
     /// the stretch may have lost a thread and is dropped, so a machine whose depth
     /// falls below `g` becomes placeable again on the very next query.

@@ -39,5 +39,5 @@ pub use classify::{
 pub use interval::{EmptyIntervalError, Interval};
 pub use rect::{gamma, max_cover_depth, total_area, union_area, Area, Rect};
 pub use span::{common_point, depth_profile, hull, max_overlap, span, total_len, union};
-pub use sweep::{DepthProfile, DisjointIntervalSet, SortedSweep, SweepSet};
+pub use sweep::{DepthProfile, DisjointIntervalSet, SortedSweep, SweepSet, CHUNK_LEN};
 pub use time::{Duration, Time};

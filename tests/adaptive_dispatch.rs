@@ -74,9 +74,9 @@ fn adaptive_dispatch_at_least_parity_at_small_n() {
         for (shape, max_len, max_gap) in [("sparse", 8i64, 10i64), ("dense", 40, 8)] {
             let mut rng = StdRng::seed_from_u64(2012);
             let instance = proper_instance(&mut rng, n, 10, max_len, max_gap);
-            // Structural half: these sizes sit below every cutover threshold except
-            // n = 1000 dense, which the dense threshold routes to the kernel…
-            let kernel = n == 1_000 && shape == "dense";
+            // Structural half: n = 100 sits below the cutover and n = 1000 at it, so
+            // only n = 1000 takes the kernel, in either shape…
+            let kernel = n == 1_000;
             assert_eq!(
                 tuning::first_fit_use_kernel(&instance),
                 kernel,

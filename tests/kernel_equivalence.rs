@@ -7,7 +7,7 @@ use busytime::maxthroughput::{greedy_fallback, greedy_fallback_scan};
 use busytime::minbusy::{first_fit_in_order_kernel, first_fit_in_order_scan};
 use busytime::twodim::{first_fit_2d_in_order, Instance2d};
 use busytime::{Duration, Instance, Interval, MachinePool, Schedule};
-use busytime_interval::{max_overlap, span, Rect};
+use busytime_interval::{max_overlap, span, Rect, CHUNK_LEN};
 use busytime_workload::{
     clique_instance, cloud_trace, general_instance, one_sided_instance, optical_lightpaths,
     proper_clique_instance, proper_instance, seeded_rng,
@@ -197,5 +197,57 @@ proptest! {
         } else {
             prop_assert!(schedule.validate(&instance).is_err());
         }
+    }
+}
+
+/// One instance per offline family at `n` jobs, with the `offline_batch` benchmark's
+/// generator parameters: general (g = 4), cloud (g = 8), optical (g = 4) and dense
+/// proper (g = 4).
+fn family_instances(n: usize) -> [(&'static str, Instance); 4] {
+    let rng = || seeded_rng(n as u64);
+    [
+        (
+            "general",
+            general_instance(&mut rng(), n, 4, 5 * n as i64, 60),
+        ),
+        ("cloud", cloud_trace(&mut rng(), n, 8, 5, 1, 500)),
+        ("optical", optical_lightpaths(&mut rng(), n, 4, 64)),
+        ("proper dense", proper_instance(&mut rng(), n, 4, 40, 8)),
+    ]
+}
+
+/// At thousands of jobs a machine's coverage profile and its busiest threads hold
+/// many chunks of the sweep storage, so every placement here splits, walks across
+/// and searches between chunks — which the small random instances above never do.
+#[test]
+fn first_fit_kernel_matches_scan_across_chunks() {
+    for (family, instance) in family_instances(40 * CHUNK_LEN) {
+        let arrival: Vec<usize> = (0..instance.len()).collect();
+        let by_length: Vec<usize> = instance
+            .order_by_length_desc()
+            .iter()
+            .map(|&j| j as usize)
+            .collect();
+        for (name, order) in [("arrival", &arrival), ("length", &by_length)] {
+            assert_eq!(
+                first_fit_in_order_kernel(&instance, order),
+                first_fit_in_order_scan(&instance, order),
+                "{family}, {name} order"
+            );
+        }
+    }
+}
+
+/// The best-fit greedy on the same families, at a size its quadratic scan reference
+/// still runs quickly, with a budget that admits every job so that every machine
+/// holds all it can: the busiest profiles cross chunks here too.
+#[test]
+fn greedy_fallback_matches_scan_across_chunks() {
+    for (family, instance) in family_instances(12 * CHUNK_LEN) {
+        let budget = instance.total_len();
+        let fast = greedy_fallback(&instance, budget);
+        let slow = greedy_fallback_scan(&instance, budget);
+        assert_eq!(fast.schedule, slow.schedule, "{family}");
+        assert_eq!((fast.throughput, fast.cost), (slow.throughput, slow.cost));
     }
 }
