@@ -1,5 +1,5 @@
-//! The `batch` section: `Solver::solve` mapped over the thread pool (the path
-//! `solve_batch` takes) on one uneven batch, at several pool widths.  Widths
+//! The `batch` section: `Solver::solve_batch_on` on one uneven batch, at several
+//! pool widths.  Widths
 //! beyond the host's available parallelism are still measured; the `meta` block
 //! records the cores, so the curve stays interpretable, and no gate reads it.
 
@@ -26,10 +26,11 @@ pub struct Row {
 /// (127 instances from 100 to 6,400 jobs), alternating the `general` and `cloud`
 /// families.  Most instances are small, but FirstFit is superlinear, so one
 /// 6,400-job instance costs about 1,000 times a 100-job one and the few large
-/// instances hold most of the work.  One round takes about 30 ms on one core, so
-/// `--quick` runs five rounds (over 100 ms of uneven work) and a full run twenty.
+/// instances hold most of the work.  One round takes about 16 ms on one core of a
+/// 2-core x86-64 host, so `--quick` runs eight rounds (about 120 ms of uneven work,
+/// clear of the 100 ms below which a timing is noise) and a full run twenty.
 fn problems(quick: bool) -> Vec<Problem> {
-    let rounds = if quick { 5 } else { 20 };
+    let rounds = if quick { 8 } else { 20 };
     let mut rng = seeded_rng(2012);
     let mut problems = Vec::new();
     for _ in 0..rounds {
@@ -55,7 +56,7 @@ pub fn measure(quick: bool) -> Vec<Row> {
     let mut rows: Vec<Row> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let pool = ThreadPool::new(threads);
-        let secs = time_trials(TRIALS, || pool.map(&problems, |p| solver.solve(p)));
+        let secs = time_trials(TRIALS, || solver.solve_batch_on(&pool, &problems));
         let one_thread_secs = rows.first().map_or(secs, |row| row.secs);
         rows.push(Row {
             instances: problems.len(),

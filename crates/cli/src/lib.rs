@@ -13,8 +13,8 @@
 //! outside every polynomial exact class route to the subset DP (≤ 22 jobs) or
 //! branch-and-bound instead of failing.  `bound` proves a `lower ≤ OPT ≤ upper`
 //! bracket under a configurable search budget and prints the relative gap.  `batch`
-//! solves a whole file of instances through [`busytime::Solver::solve`] on the thread
-//! pool; `--threads N` sets the pool size (the default is
+//! solves a whole file of instances through [`busytime::Solver::solve_batch_on`];
+//! `--threads N` sets the pool size (the default is
 //! [`busytime::Solver::solve_batch`]'s: one worker per core).  `simulate` replays an
 //! online event trace through [`busytime::OnlineScheduler::run`] and reports the
 //! per-event cost trajectory plus the final live schedule.
@@ -256,9 +256,8 @@ pub fn run_throughput(
     })
 }
 
-/// `busytime batch`: solve every instance of a batch file concurrently, mapping
-/// [`Solver::solve`] over a thread pool of its own (as [`Solver::solve_batch`] does
-/// over the default-width pool).
+/// `busytime batch`: solve every instance of a batch file concurrently through
+/// [`Solver::solve_batch_on`].
 ///
 /// With a budget every instance becomes a MaxThroughput request under that budget;
 /// without one every instance is a MinBusy request.  `threads` pins the pool width
@@ -296,8 +295,7 @@ pub fn run_batch(
 
     let solver = options.solver();
     let started = std::time::Instant::now();
-    // Identical to `Solver::solve_batch`, but on an explicitly sized pool.
-    let results = pool.map(&problems, |p| solver.solve(p));
+    let results = solver.solve_batch_on(&pool, &problems);
     let elapsed = started.elapsed();
 
     let mut lines = Vec::with_capacity(results.len() + 1);

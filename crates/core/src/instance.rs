@@ -8,8 +8,7 @@
 use std::sync::OnceLock;
 
 use busytime_interval::{
-    classify_sorted, connected_components_sorted, is_clique, is_one_sided, is_proper_sorted,
-    Classification, Duration, Interval,
+    classify_sorted, connected_components_sorted, Classification, Duration, Interval,
 };
 use serde::{Deserialize, Serialize};
 
@@ -25,9 +24,9 @@ pub type JobId = usize;
 /// preserved (jobs are identified by their index in the sorted order).
 ///
 /// The sorted job vector is the only copy of the jobs.  Next to it the instance keeps
-/// what its construction pass computes — `len(J)` and `span(J)` — and the two length
-/// orders, each sorted once on first use.  These are derived data:
-/// equality and the serialized form consider only the jobs and the capacity.
+/// what its construction pass computes — `len(J)` and `span(J)` — and, each computed
+/// once on first use, its classification and the two length orders.  These are derived
+/// data: equality and the serialized form consider only the jobs and the capacity.
 #[derive(Debug, Clone)]
 pub struct Instance {
     jobs: Vec<Interval>,
@@ -36,6 +35,7 @@ pub struct Instance {
     total_len: i64,
     /// `span(J)` in ticks.
     span: i64,
+    class: OnceLock<Classification>,
     by_len_desc: OnceLock<Vec<u32>>,
     by_len_asc: OnceLock<Vec<u32>>,
 }
@@ -100,6 +100,7 @@ impl Instance {
             capacity,
             total_len,
             span,
+            class: OnceLock::new(),
             by_len_desc: OnceLock::new(),
             by_len_asc: OnceLock::new(),
         }
@@ -194,32 +195,34 @@ impl Instance {
         Duration::new(self.span)
     }
 
-    /// Classification of the instance (clique / one-sided / proper / connected).
+    /// Classification of the instance (clique / one-sided / proper / connected),
+    /// computed once per instance.
     ///
-    /// The jobs are already stored sorted, so this is a single linear pass over them —
-    /// no re-sorting per property.
+    /// The jobs are already stored sorted, so the first call is a single linear pass
+    /// over them — no re-sorting per property.  It is not part of the construction
+    /// pass: an instance that is never dispatched never pays for it.
     pub fn classification(&self) -> Classification {
-        classify_sorted(&self.jobs)
+        *self.class.get_or_init(|| classify_sorted(&self.jobs))
     }
 
     /// Is this a clique instance (all jobs share a common time)?
     pub fn is_clique(&self) -> bool {
-        is_clique(&self.jobs)
+        self.classification().clique
     }
 
     /// Is this a one-sided clique instance (common start or common completion)?
     pub fn is_one_sided(&self) -> bool {
-        self.is_clique() && is_one_sided(&self.jobs)
+        self.classification().one_sided
     }
 
     /// Is this a proper instance (no job properly contains another)?
     pub fn is_proper(&self) -> bool {
-        is_proper_sorted(&self.jobs)
+        self.classification().proper
     }
 
     /// Is this a proper clique instance?
     pub fn is_proper_clique(&self) -> bool {
-        self.is_proper() && self.is_clique()
+        self.classification().is_proper_clique()
     }
 
     /// Job ids grouped by connected component of the interval graph, left to right.
@@ -281,13 +284,24 @@ mod tests {
 
     #[test]
     fn classification_shortcuts_agree() {
+        use busytime_interval::{is_clique, is_one_sided, is_proper};
         let clique = Instance::from_ticks(&[(0, 10), (3, 8), (5, 20)], 2);
         assert!(clique.is_clique());
         assert!(!clique.is_proper(), "[0,10) properly contains [3,8)");
-        let c = clique.classification();
-        assert_eq!(c.clique, clique.is_clique());
-        assert_eq!(c.proper, clique.is_proper());
-        assert_eq!(c.one_sided, clique.is_one_sided());
+        // The cached classification agrees with the per-property checks.
+        for inst in [
+            clique,
+            Instance::from_ticks(&[(0, 4), (2, 6), (10, 12)], 3),
+            Instance::from_ticks(&[(0, 5), (0, 9), (0, 2)], 2),
+            Instance::from_ticks(&[(0, 10), (2, 12), (4, 14)], 2),
+            Instance::from_ticks(&[], 1),
+        ] {
+            let jobs = inst.jobs();
+            assert_eq!(inst.is_clique(), is_clique(jobs));
+            assert_eq!(inst.is_proper(), is_proper(jobs));
+            assert_eq!(inst.is_one_sided(), is_clique(jobs) && is_one_sided(jobs));
+            assert_eq!(inst.classification(), inst.clone().classification());
+        }
     }
 
     #[test]

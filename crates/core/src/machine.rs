@@ -399,40 +399,50 @@ impl MachinePool {
     ///
     /// Only machines whose hull overlaps the job can price it below its full length,
     /// so the search probes exactly those (streamed in machine order from
-    /// [`PlacementIndex::next_overlapping`]) and closes the full-length case with the
-    /// earliest hull-disjoint machine from [`PlacementIndex::first_disjoint`]; every
-    /// machine is either hull-overlapping or hull-disjoint, so the candidate set — and
-    /// the (delta, machine) minimum over it — is identical to the linear scan's.
+    /// [`PlacementIndex::next_overlapping`]).  Only when none of them does is the
+    /// full-length case closed with the earliest hull-disjoint machine from
+    /// [`PlacementIndex::first_disjoint`], the earlier machine winning a tie at full
+    /// length.  Every machine is either hull-overlapping or hull-disjoint, and no
+    /// placement costs more than the job's length, so the candidate set — and the
+    /// (delta, machine) minimum over it — is identical to the linear scan's.
     pub fn best_fit_slot(&self, iv: Interval) -> Placement {
         let (s, e) = (iv.start().ticks(), iv.end().ticks());
-        // The earliest machine the job misses entirely (or the fresh-machine slot):
-        // accepted on thread 0 at full length.
-        let mut best = Placement {
-            machine: self.index.first_disjoint(s, e),
-            thread: 0,
-            delta: iv.len(),
-        };
+        let mut best: Option<Placement> = None;
         let mut m = self.index.next_overlapping(s, e, 0);
         while let Some(candidate) = m {
             let machine = &self.machines[candidate];
             if let Some(thread) = machine.first_free_thread(iv) {
                 let delta = machine.marginal_busy(iv);
-                if delta < best.delta || (delta == best.delta && candidate < best.machine) {
-                    best = Placement {
+                // The stream is in machine order, so strict `<` keeps the earliest.
+                if best.is_none_or(|b| delta < b.delta) {
+                    best = Some(Placement {
                         machine: candidate,
                         thread,
                         delta,
-                    };
+                    });
                     if delta.is_zero() {
-                        // No machine can beat a free placement, and the stream is in
-                        // machine order so no earlier zero exists.
+                        // No machine can beat a free placement, and no earlier zero
+                        // exists.
                         break;
                     }
                 }
             }
             m = self.index.next_overlapping(s, e, candidate + 1);
         }
-        best
+        match best {
+            Some(b) if b.delta < iv.len() => b,
+            // Full length everywhere: the earliest machine the job misses entirely
+            // (or the fresh-machine slot), accepted on thread 0, unless an overlapping
+            // candidate at full length comes earlier.
+            _ => {
+                let disjoint = self.index.first_disjoint(s, e);
+                best.filter(|b| b.machine < disjoint).unwrap_or(Placement {
+                    machine: disjoint,
+                    thread: 0,
+                    delta: iv.len(),
+                })
+            }
+        }
     }
 
     /// The linear-scan best fit: identical result as [`MachinePool::best_fit_slot`],
@@ -753,6 +763,25 @@ mod tests {
         );
         commit(&mut pool, &mut s, &instance, 1, (p.machine, p.thread));
         assert_eq!(pool.cost(), Duration::new(14));
+    }
+
+    #[test]
+    fn best_fit_breaks_a_full_length_tie_toward_the_earlier_machine() {
+        // [10, 15) lands in the gap inside the gapped machine's hull [0, 25), so that
+        // machine prices it at its full length, as the hull-disjoint machine does.
+        // The earlier of the two, machine 0, wins in either role.
+        let iv = Interval::from_ticks(10, 15);
+        for (disjoint, gapped) in [(0, 1), (1, 0)] {
+            let mut pool = MachinePool::new(1);
+            pool.open_empty();
+            pool.open_empty();
+            pool.insert(Interval::from_ticks(100, 110), disjoint, 0);
+            pool.insert(Interval::from_ticks(0, 5), gapped, 0);
+            pool.insert(Interval::from_ticks(20, 25), gapped, 0);
+            let p = pool.best_fit_slot(iv);
+            assert_eq!(p, pool.best_fit_slot_linear(iv));
+            assert_eq!((p.machine, p.thread, p.delta), (0, 0, iv.len()));
+        }
     }
 
     #[test]

@@ -99,6 +99,13 @@ fn clique_set_cover_with_limit(instance: &Instance, limit: usize) -> Result<Sche
     Ok(schedule)
 }
 
+/// The size of [`clique_set_cover`]'s candidate family on `n` jobs at capacity `g`,
+/// `Σ_{k≤g} C(n,k)`, counted only until it exceeds [`DEFAULT_SET_FAMILY_LIMIT`]: any
+/// result above the limit means the algorithm refuses the instance at once.
+pub(crate) fn set_family_size(n: usize, g: usize) -> usize {
+    count_subsets_up_to(n, g, DEFAULT_SET_FAMILY_LIMIT)
+}
+
 /// Count `Σ_{k=1..=g} C(n,k)`, saturating once the count exceeds `limit` (to avoid
 /// overflow for large `n`).
 fn count_subsets_up_to(n: usize, g: usize, limit: usize) -> usize {

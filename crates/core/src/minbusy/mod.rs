@@ -24,6 +24,7 @@ mod one_sided;
 
 pub use best_cut::{best_cut, best_cut_guarantee};
 pub use clique_matching::clique_matching;
+pub(crate) use clique_set_cover::set_family_size;
 pub use clique_set_cover::{clique_set_cover, set_cover_guarantee, DEFAULT_SET_FAMILY_LIMIT};
 pub use consecutive_dp::{consecutive_partition_dp, find_best_consecutive};
 pub use first_fit::{

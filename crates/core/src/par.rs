@@ -1,11 +1,14 @@
 //! The batch engine: a scoped thread pool over index ranges.
 //!
-//! Batch workloads — [`Solver::solve_batch`](crate::Solver::solve_batch), the
+//! Batch workloads — [`Solver::solve_batch_on`](crate::Solver::solve_batch_on), the
 //! experiment harness's trial sweeps, the scaling benchmarks — fan independent problems
-//! out over threads.  Workers claim the next index from one shared atomic cursor, so
-//! one hard item among many easy ones cannot idle a core, and results come back in
-//! input order, so a parallel map is observably identical to a sequential one.  It is
-//! all `std::thread::scope`: no dependencies, no unsafe code.
+//! out over threads.  Workers claim the next index from one shared atomic cursor, so no
+//! worker idles while an index is left to claim, and results come back in input order,
+//! so a parallel map is observably identical to a sequential one.  The cursor cannot
+//! help an expensive item claimed last: it runs alone while the other workers have
+//! nothing left.  So a caller that can rank its items maps over them heaviest first;
+//! `Solver::solve_batch_on` does, by the work each request's planned algorithm states
+//! in `n` and `g`.  It is all `std::thread::scope`: no dependencies, no unsafe code.
 //!
 //! ```
 //! use busytime::par::ThreadPool;

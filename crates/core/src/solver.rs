@@ -17,8 +17,13 @@
 //!   a [`DispatchAttempt`] trace recording every algorithm that was considered and why
 //!   it was skipped or failed (nothing is silently swallowed).
 //!
-//! Batch workloads go through [`Solver::solve_batch`], which fans the requests out over
-//! the [`crate::par::ThreadPool`] while keeping results in request order.
+//! Batch workloads go through [`Solver::solve_batch_on`] (or [`Solver::solve_batch`] on
+//! the default pool), which fans the requests out over a [`crate::par::ThreadPool`]
+//! while keeping results in request order.  It plans every request first — which
+//! algorithm [`Solver::solve`] will run, and the work that algorithm states in `n` and
+//! `g` — and the workers claim the requests heaviest first (Graham's
+//! longest-processing-time rule), so the longest solve starts at once instead of
+//! running alone at the end of the batch.
 //!
 //! ```rust
 //! use busytime::{Problem, Solver, Instance, Duration};
@@ -47,6 +52,7 @@ use crate::error::Error;
 use crate::instance::Instance;
 use crate::maxthroughput;
 use crate::minbusy;
+use crate::par::ThreadPool;
 use crate::schedule::Schedule;
 use crate::twodim::Instance2d;
 
@@ -176,35 +182,46 @@ impl fmt::Display for ProblemKind {
 }
 
 /// Every algorithm the facade can dispatch to, across all problem kinds.
+///
+/// Each variant's documentation states its cost in the job count `n` and the capacity
+/// `g`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     // MinBusy (Section 3).
-    /// Observation 3.1 — optimal on one-sided clique instances.
+    /// Observation 3.1 — optimal on one-sided clique instances (`O(n log n)`: one sort
+    /// by length).
     OneSided,
-    /// Theorem 3.2 (FindBestConsecutive) — optimal on proper clique instances.
+    /// Theorem 3.2 (FindBestConsecutive) — optimal on proper clique instances (the
+    /// `O(n·g)` DP).
     ProperCliqueDp,
-    /// Lemma 3.1 — optimal on clique instances with `g = 2`, via matching.
+    /// Lemma 3.1 — optimal on clique instances with `g = 2`, via an `O(n³)` maximum
+    /// weight matching.
     CliqueMatching,
-    /// Lemma 3.2 — `g·H_g/(H_g+g−1)`-approximation on clique instances, via set cover.
+    /// Lemma 3.2 — `g·H_g/(H_g+g−1)`-approximation on clique instances, via set cover
+    /// over all `Σ_{k≤g} C(n,k)` candidate sets.
     CliqueSetCover,
-    /// Theorem 3.1 (BestCut) — `(2 − 1/g)`-approximation on proper instances.
+    /// Theorem 3.1 (BestCut) — `(2 − 1/g)`-approximation on proper instances
+    /// (`O(n log n)`).
     BestCut,
-    /// FirstFit baseline of \[13\] — 4-approximation on general instances (fallback).
+    /// FirstFit baseline of \[13\] — 4-approximation on general instances (fallback;
+    /// `O(n log n)` placement through the machine index).
     FirstFit,
     // MaxThroughput (Section 4).
     /// Proposition 4.1 — optimal on one-sided clique instances (one `O(n)` prefix scan
-    /// over the cached length order).
+    /// over the cached length order, `O(n log n)` with its sort).
     ThroughputOneSided,
     /// Theorem 4.2 — optimal on proper clique instances (the `O(n²·g)`-time DP in
     /// about `2·n²` bytes).
     ThroughputProperCliqueDp,
-    /// Theorem 4.1 (Alg1 + Alg2) — 4-approximation on clique instances.
+    /// Theorem 4.1 (Alg1 + Alg2) — 4-approximation on clique instances
+    /// (`O(n log n)`).
     ThroughputCliqueApprox,
     /// Best-fit greedy with no guarantee, for instances outside the paper's classes
-    /// (fallback).
+    /// (fallback; `O(n log n)` placement through the machine index).
     ThroughputGreedy,
     // Weighted throughput (Section 5 extension).
-    /// Pareto-frontier DP — optimal on proper clique instances.
+    /// Pareto-frontier DP — optimal on proper clique instances (the `O(n²·g)` states
+    /// of Theorem 4.2, each holding a frontier).
     WeightedParetoDp,
     // Exponential exact backends (pluggable through [`SolverBuilder::exact_oracle`];
     // implemented by the `busytime-exact` crate, which sits above this one).
@@ -312,6 +329,31 @@ impl Algorithm {
             | Algorithm::ThroughputGreedy
             | Algorithm::ExactSubsetDp
             | Algorithm::ExactBnB => "any",
+        }
+    }
+
+    /// The cost one run states in `n` jobs at capacity `g` (see each variant), with
+    /// unit constants.  It only orders a batch's claims, heaviest first, so it needs to
+    /// rank algorithms, not predict seconds.  The set cover counts its candidate
+    /// family, capped at [`minbusy::DEFAULT_SET_FAMILY_LIMIT`] (above it the algorithm
+    /// refuses at once); the exponential exact backends rank above every polynomial
+    /// algorithm.
+    pub(crate) fn work(self, n: usize, g: usize) -> f64 {
+        let (n_f, g_f) = (n as f64, g as f64);
+        match self {
+            Algorithm::CliqueMatching => n_f * n_f * n_f,
+            Algorithm::ThroughputProperCliqueDp | Algorithm::WeightedParetoDp => n_f * n_f * g_f,
+            Algorithm::ProperCliqueDp => n_f * g_f,
+            Algorithm::CliqueSetCover => {
+                minbusy::set_family_size(n, g).min(minbusy::DEFAULT_SET_FAMILY_LIMIT) as f64
+            }
+            Algorithm::OneSided
+            | Algorithm::BestCut
+            | Algorithm::FirstFit
+            | Algorithm::ThroughputOneSided
+            | Algorithm::ThroughputCliqueApprox
+            | Algorithm::ThroughputGreedy => n_f * n_f.max(2.0).log2(),
+            Algorithm::ExactSubsetDp | Algorithm::ExactBnB => f64::INFINITY,
         }
     }
 
@@ -594,11 +636,7 @@ impl Solver {
         let class = instance.classification();
         let mut trace = Vec::new();
         for &algorithm in Algorithm::candidates(kind) {
-            if self.policy.require_exact && !algorithm.is_exact() {
-                trace.push(DispatchAttempt::skipped(algorithm, SkipReason::NotExact));
-                continue;
-            }
-            if let Some(reason) = applicability_gap(algorithm, &class, instance) {
+            if let Some(reason) = self.admission(algorithm, &class, instance) {
                 trace.push(DispatchAttempt::skipped(algorithm, reason));
                 continue;
             }
@@ -620,6 +658,61 @@ impl Solver {
             }
         }
         Err(SolveError::Exhausted { kind, trace })
+    }
+
+    /// The algorithm [`Solver::solve`] runs on `problem` — the one its solution reports
+    /// when the solve succeeds — found without running any algorithm.
+    ///
+    /// It is the forced algorithm when the policy forces one.  Otherwise it is the
+    /// first candidate that the dispatch's own admission rule passes, stepping past a
+    /// set cover whose candidate family is over its limit (the one admitted algorithm
+    /// that refuses an instance, and it does so before any work), and then, for an
+    /// exact-only MinBusy request, the backend the installed exact oracle routes to.
+    /// `None` means the solve fails before any algorithm runs: mismatched profits, or
+    /// no candidate left under the policy.
+    pub fn plan(&self, problem: &Problem) -> Option<Algorithm> {
+        let instance = problem.instance();
+        if let Problem::WeightedThroughput { profits, .. } = problem {
+            if profits.len() != instance.len() {
+                return None;
+            }
+        }
+        if let Some(forced) = self.policy.force {
+            return Some(forced);
+        }
+        let kind = problem.kind();
+        let class = instance.classification();
+        let refuses = |algorithm| {
+            algorithm == Algorithm::CliqueSetCover
+                && minbusy::set_family_size(instance.len(), instance.capacity())
+                    > minbusy::DEFAULT_SET_FAMILY_LIMIT
+        };
+        let polynomial = Algorithm::candidates(kind)
+            .iter()
+            .copied()
+            .find(|&algorithm| {
+                self.admission(algorithm, &class, instance).is_none() && !refuses(algorithm)
+            });
+        polynomial.or_else(|| {
+            let oracle = self.oracle.as_ref()?;
+            (kind == ProblemKind::MinBusy && self.policy.require_exact)
+                .then(|| oracle.backend_for(instance).algorithm())
+        })
+    }
+
+    /// Why dispatch skips `algorithm` on `instance`, whose classification is `class`,
+    /// under this solver's policy, or `None` when it runs it.  [`Solver::solve`] and
+    /// [`Solver::plan`] both admit candidates by this one rule.
+    fn admission(
+        &self,
+        algorithm: Algorithm,
+        class: &busytime_interval::Classification,
+        instance: &Instance,
+    ) -> Option<SkipReason> {
+        if self.policy.require_exact && !algorithm.is_exact() {
+            return Some(SkipReason::NotExact);
+        }
+        applicability_gap(algorithm, class, instance)
     }
 
     /// Run the exact oracle after the polynomial candidates exhausted.  `None` means
@@ -667,15 +760,52 @@ impl Solver {
         }
     }
 
-    /// Solve many requests concurrently; results come back in request order.
+    /// Solve many requests concurrently on the default pool; results come back in
+    /// request order.
     ///
-    /// The requests fan out over a [`crate::par::ThreadPool`] sized by
+    /// This is [`Solver::solve_batch_on`] over a [`ThreadPool`] sized by
     /// [`crate::par::default_threads`]: every core unless `BUSYTIME_THREADS` pins it.
-    /// (The CLI's `batch --threads` maps [`Solver::solve`] over a pool of its own
-    /// instead.)  Each request is solved independently, so the results are identical
-    /// to calling [`Solver::solve`] in a loop.
     pub fn solve_batch(&self, problems: &[Problem]) -> Vec<Result<Solution, SolveError>> {
-        crate::par::ThreadPool::with_default_parallelism().map(problems, |p| self.solve(p))
+        self.solve_batch_on(&ThreadPool::with_default_parallelism(), problems)
+    }
+
+    /// Solve many requests concurrently on `pool`; results come back in request order.
+    ///
+    /// Each request is solved independently, so the results — schedules, algorithms
+    /// and traces — are identical to calling [`Solver::solve`] in a loop.  The pool
+    /// only decides which worker runs which request, and when: the workers claim the
+    /// requests heaviest first, by the work the [`Solver::plan`]ned algorithm states
+    /// in `n` and `g` (ties to the earlier request).  This is Graham's
+    /// longest-processing-time rule: the longest solves start first, and the short
+    /// ones fill in around them, instead of a long solve claimed late running alone
+    /// while the other workers idle.
+    pub fn solve_batch_on(
+        &self,
+        pool: &ThreadPool,
+        problems: &[Problem],
+    ) -> Vec<Result<Solution, SolveError>> {
+        let order = self.claim_order(problems);
+        let mut solved = pool.map(&order, |&i| (i, self.solve(&problems[i])));
+        solved.sort_unstable_by_key(|&(i, _)| i);
+        solved.into_iter().map(|(_, result)| result).collect()
+    }
+
+    /// The order in which [`Solver::solve_batch_on`]'s workers claim `problems`:
+    /// heaviest first by the work of the planned algorithm, ties to the earlier
+    /// request.  A request that no algorithm will run weighs nothing.
+    fn claim_order(&self, problems: &[Problem]) -> Vec<usize> {
+        let work: Vec<f64> = problems
+            .iter()
+            .map(|problem| {
+                let instance = problem.instance();
+                self.plan(problem)
+                    .map_or(0.0, |a| a.work(instance.len(), instance.capacity()))
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..problems.len()).collect();
+        // The sort is stable, so equal work keeps request order.
+        order.sort_by(|&a, &b| work[b].total_cmp(&work[a]));
+        order
     }
 
     /// Convenience: solve MinBusy for `instance` without building a [`Problem`].
@@ -1437,24 +1567,98 @@ mod tests {
         );
     }
 
-    #[test]
-    fn batch_matches_sequential() {
-        let problems: Vec<Problem> = [
-            Problem::min_busy(proper_clique()),
+    /// The batch the claim-order and batch tests share: every problem kind, a
+    /// weighted request with mismatched profits, and instances that an exact-only
+    /// policy cannot solve without an oracle.
+    fn mixed_batch() -> Vec<Problem> {
+        let clique_g2 = Instance::from_ticks(&[(0, 20), (5, 10), (6, 18)], 2);
+        vec![
             Problem::min_busy(general()),
             Problem::max_throughput(proper_clique(), Duration::new(12)),
+            Problem::min_busy(clique_g2.clone()),
+            Problem::min_busy(proper_clique()),
+            Problem::weighted_throughput(proper_clique(), Duration::new(14), vec![1]),
             Problem::max_throughput(general(), Duration::new(9)),
+            Problem::weighted_throughput(proper_clique(), Duration::new(14), vec![5, 1, 1, 7]),
+            Problem::max_throughput(clique_g2, Duration::new(15)),
         ]
-        .into_iter()
-        .collect();
-        let solver = Solver::new();
-        let batch = solver.solve_batch(&problems);
-        assert_eq!(batch.len(), problems.len());
-        for (problem, result) in problems.iter().zip(&batch) {
-            let sequential = solver.solve(problem).unwrap();
-            let batched = result.as_ref().unwrap();
-            assert_eq!(batched.algorithm, sequential.algorithm);
-            assert_eq!(batched.objective, sequential.objective);
+    }
+
+    #[test]
+    fn batch_is_claimed_heaviest_first_ties_by_index() {
+        // Default policy, n = 4 or 3, g = 2.  Work: 0 first-fit 4·log₂4 = 8; 1
+        // throughput-proper-clique-dp 4²·2 = 32; 2 clique-matching 3³ = 27; 3
+        // proper-clique-dp 4·2 = 8; 4 mismatched profits, nothing runs = 0; 5
+        // throughput-greedy 8; 6 weighted-pareto-dp 32; 7 throughput-clique-approx
+        // 3·log₂3 ≈ 4.75.
+        let problems = mixed_batch();
+        assert_eq!(
+            Solver::new().claim_order(&problems),
+            [1, 6, 2, 0, 3, 5, 7, 4]
+        );
+        // Exact-only: the approximations drop out, so 0, 5 and 7 plan nothing.
+        let exact = Solver::builder().require_exact(true).build();
+        assert_eq!(exact.claim_order(&problems), [1, 6, 2, 3, 0, 4, 5, 7]);
+        // A forced algorithm counts as itself, whatever the instance.
+        let forced = Solver::builder()
+            .force_algorithm(Algorithm::CliqueMatching)
+            .build();
+        assert_eq!(forced.claim_order(&problems), [0, 1, 3, 5, 6, 2, 7, 4]);
+        assert!(Solver::new().claim_order(&[]).is_empty());
+    }
+
+    #[test]
+    fn work_ranks_the_stated_costs() {
+        let (n, g) = (1_000, 4);
+        let near_linear = Algorithm::FirstFit.work(n, g);
+        assert_eq!(near_linear, Algorithm::ThroughputGreedy.work(n, g));
+        assert!(Algorithm::ProperCliqueDp.work(n, g) < near_linear);
+        assert!(near_linear < Algorithm::ThroughputProperCliqueDp.work(n, g));
+        assert!(
+            Algorithm::ThroughputProperCliqueDp.work(n, g) < Algorithm::CliqueMatching.work(n, 2)
+        );
+        // The set cover counts its family until the limit, where it refuses.
+        assert_eq!(Algorithm::CliqueSetCover.work(4, 2), 10.0);
+        assert_eq!(
+            Algorithm::CliqueSetCover.work(60, 5),
+            minbusy::DEFAULT_SET_FAMILY_LIMIT as f64
+        );
+        // The exponential backends rank above every polynomial algorithm.
+        let polynomial = Algorithm::all().filter(|a| !a.is_exact_oracle());
+        for algorithm in polynomial {
+            assert!(algorithm.work(1_000_000, 8) < Algorithm::ExactSubsetDp.work(2, 1));
+        }
+        assert_eq!(Algorithm::FirstFit.work(0, 3), 0.0);
+    }
+
+    /// `solve_batch_on` ≡ `solve` in a loop, at every width and under both policies:
+    /// the same schedules, algorithms, traces and errors, in request order.
+    #[test]
+    fn batch_matches_sequential() {
+        let problems = mixed_batch();
+        let exact = Solver::builder().require_exact(true).build();
+        assert!(
+            matches!(exact.solve(&problems[0]), Err(SolveError::Exhausted { .. })),
+            "the batch holds an exact-only failure"
+        );
+        for solver in [Solver::new(), exact] {
+            let sequential: Vec<_> = problems.iter().map(|p| solver.solve(p)).collect();
+            for threads in 1..=4 {
+                let batch = solver.solve_batch_on(&ThreadPool::new(threads), &problems);
+                assert_eq!(batch.len(), problems.len());
+                for (i, (batched, sequential)) in batch.iter().zip(&sequential).enumerate() {
+                    match (batched, sequential) {
+                        (Ok(b), Ok(s)) => {
+                            assert_eq!(b.schedule, s.schedule, "request {i}");
+                            assert_eq!(b.algorithm, s.algorithm, "request {i}");
+                            assert_eq!(b.trace, s.trace, "request {i}");
+                            assert_eq!(b.objective, s.objective, "request {i}");
+                        }
+                        (Err(b), Err(s)) => assert_eq!(b, s, "request {i}"),
+                        _ => panic!("request {i}: {batched:?} vs {sequential:?}"),
+                    }
+                }
+            }
         }
     }
 

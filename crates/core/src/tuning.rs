@@ -16,14 +16,14 @@
 //! (`g = 4`) families of the `offline_batch` benchmark in length order, at 100 to
 //! 5,000 jobs.  In the recorded rows (kernel time over scan time, the median of the
 //! three seeds) the kernel wins every proper and general shape at 1,000 jobs
-//! (0.49–0.83), and the cloud and optical families from 1,500 (0.92).  The gap one
-//! constant leaves:
+//! (0.73–0.85), the cloud family from 1,500 (0.88) and the optical family from 2,000
+//! (0.77; it reads 1.01 at 1,500).  The gap one constant leaves:
 //!
-//! * at 300 jobs or fewer the scan wins, by 1.15–3.8×, so small instances stay there;
-//! * cloud and optical instances of 1,000–1,499 jobs run the kernel slower than the
-//!   scan would (1.15× and 1.24× at 1,000 jobs);
+//! * at 300 jobs or fewer the scan wins, by 1.57–4.75×, so small instances stay there;
+//! * cloud instances of 1,000–1,499 jobs and optical instances of 1,000–1,999 run the
+//!   kernel slower than the scan would (1.17× and 1.29× at 1,000 jobs);
 //! * proper and general instances of 700–999 jobs keep the scan, though at 700 jobs
-//!   the kernel already runs at 0.63–1.06 of its time.
+//!   the kernel already runs at 0.91–1.04 of its time.
 //!
 //! One full run on a shared host is one sample: a second run of the same grid read
 //! cells up to about 1.4× apart (cloud at 1,000 jobs read 1.66), so the cutover sits

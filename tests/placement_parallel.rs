@@ -77,9 +77,9 @@ proptest! {
         prop_assert_eq!(&adaptive, &first_fit_in_order_scan(&instance, &order));
     }
 
-    /// Parallel `solve_batch` ≡ sequential `solve`: same algorithms, same objective
-    /// values, same order, at several pool widths (including widths far above the
-    /// item count).
+    /// Parallel `solve_batch_on` ≡ sequential `solve`: same algorithms, objective
+    /// values, schedules and traces, in the same order, at several pool widths
+    /// (including widths far above the item count).
     #[test]
     fn parallel_batch_equals_sequential(instances in batch_strategy(), threads in 1usize..9) {
         let solver = Solver::new();
@@ -93,9 +93,9 @@ proptest! {
             })
             .collect();
         let sequential: Vec<_> = problems.iter().map(|p| solver.solve(p)).collect();
-        // `solve_batch` reads the process-wide default width; drive the pool directly
-        // at an explicit width so the test is independent of global state.
-        let parallel = ThreadPool::new(threads).map(&problems, |p| solver.solve(p));
+        // `solve_batch` reads the process-wide default width; an explicit width keeps
+        // the test independent of global state.
+        let parallel = solver.solve_batch_on(&ThreadPool::new(threads), &problems);
         prop_assert_eq!(parallel.len(), sequential.len());
         for (seq, par) in sequential.iter().zip(&parallel) {
             match (seq, par) {
@@ -103,6 +103,7 @@ proptest! {
                     prop_assert_eq!(a.algorithm, b.algorithm);
                     prop_assert_eq!(a.objective, b.objective);
                     prop_assert_eq!(&a.schedule, &b.schedule);
+                    prop_assert_eq!(&a.trace, &b.trace);
                 }
                 (Err(a), Err(b)) => prop_assert_eq!(a, b),
                 (a, b) => prop_assert!(false, "sequential {:?} vs parallel {:?}", a.is_ok(), b.is_ok()),

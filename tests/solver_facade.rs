@@ -9,16 +9,19 @@
 //!    solution on a small instance, its objective equals the `busytime-exact` subset-DP
 //!    optimum (and the solution advertises exactness).
 //!
-//! Forcing the exponential exact backends is pinned case by case at the end.
+//! Forcing the exponential exact backends is pinned case by case at the end, and so is
+//! `Solver::plan`'s promise to name the algorithm `solve` reports.
+
+use std::collections::HashSet;
 
 use busytime::{
     Algorithm, AttemptOutcome, Duration, Error, ExactBudget, Instance, Problem, ProblemKind,
-    SkipReason, SolveError, Solver,
+    SkipReason, SolveError, Solver, SolverBuilder,
 };
 use busytime_exact::{exact_maxthroughput_value, exact_minbusy_cost};
 use busytime_workload::{
-    clique_instance, general_instance, one_sided_instance, proper_clique_instance, proper_instance,
-    seeded_rng,
+    clique_instance, cloud_trace, general_instance, one_sided_instance, optical_lightpaths,
+    proper_clique_instance, proper_instance, seeded_rng,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -273,4 +276,79 @@ fn forced_exact_backends_through_the_facade() {
             kind: ProblemKind::MaxThroughput,
         }
     ));
+}
+
+/// `Solver::plan` names the algorithm `solve` reports, without running one, on every
+/// workload family and problem kind: under the default policy, under every forced
+/// algorithm, and exact-only with the oracle installed.  A solve that fails names
+/// the planned algorithm in its error, or fails before any algorithm runs and was
+/// planned as `None`.
+#[test]
+fn plan_names_the_algorithm_solve_reports() {
+    let rng = &mut seeded_rng(26);
+    let mut instances = Vec::new();
+    // The 60-job clique at g = 5 has a set-cover family over the limit, so dispatch
+    // steps past the set cover to FirstFit, and the plan must too.
+    for (n, g) in [(12, 2), (30, 3), (60, 5)] {
+        instances.extend([
+            clique_instance(rng, n, g, 40),
+            one_sided_instance(rng, n, g, 40),
+            proper_clique_instance(rng, n, g, 2 * n as i64),
+            proper_instance(rng, n, g, 20, 5),
+            general_instance(rng, n, g, 5 * n as i64, 15),
+            cloud_trace(rng, n, g, 5, 1, 500),
+            optical_lightpaths(rng, n, g, 64),
+        ]);
+    }
+    // A small search budget keeps the branch-and-bound runs short.
+    let exact = |builder: SolverBuilder| {
+        builder
+            .exact_oracle(busytime_exact::oracle())
+            .exact_budget(ExactBudget {
+                max_nodes: 2_000,
+                max_millis: None,
+            })
+            .build()
+    };
+    let mut solvers = vec![Solver::new(), exact(Solver::builder().require_exact(true))];
+    solvers.extend(Algorithm::all().map(|a| exact(Solver::builder().force_algorithm(a))));
+    let mut reported = HashSet::new();
+    for inst in &instances {
+        let budget = Duration::new(inst.total_len().ticks() / 2);
+        let profits: Vec<i64> = (0..inst.len() as i64).map(|j| 1 + j % 3).collect();
+        let problems = [
+            Problem::min_busy(inst.clone()),
+            Problem::max_throughput(inst.clone(), budget),
+            Problem::weighted_throughput(inst.clone(), budget, profits),
+            Problem::weighted_throughput(inst.clone(), budget, vec![1]),
+        ];
+        for solver in &solvers {
+            for problem in &problems {
+                let plan = solver.plan(problem);
+                let context = format!(
+                    "{:?} on {} jobs, g = {}",
+                    solver.policy(),
+                    inst.len(),
+                    inst.capacity()
+                );
+                match solver.solve(problem) {
+                    Ok(solution) => {
+                        assert_eq!(plan, Some(solution.algorithm), "{context}");
+                        reported.insert(solution.algorithm);
+                    }
+                    Err(SolveError::Exhausted { .. } | SolveError::InvalidProfits { .. }) => {
+                        assert_eq!(plan, None, "{context}");
+                    }
+                    Err(
+                        SolveError::ForcedWrongProblem { algorithm, .. }
+                        | SolveError::ForcedInexact { algorithm }
+                        | SolveError::ForcedFailed { algorithm, .. }
+                        | SolveError::NoExactOracle { algorithm }
+                        | SolveError::BudgetExhausted { algorithm, .. },
+                    ) => assert_eq!(plan, Some(algorithm), "{context}"),
+                }
+            }
+        }
+    }
+    assert_eq!(reported.len(), Algorithm::all().count(), "{reported:?}");
 }
