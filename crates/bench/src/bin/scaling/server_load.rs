@@ -14,6 +14,10 @@ const SHARDS: usize = 4;
 /// Tenants each cell drives, one connection per tenant.
 const TENANTS: usize = 4;
 
+/// Events each tenant drives per trial, in both modes: about 0.2 s per NDJSON
+/// depth-1 trial on a 2-core host, long enough to time.
+const EVENTS_PER_TENANT: usize = 2_500;
+
 /// The framings every depth is measured in.
 const FRAMINGS: [Framing; 2] = [Framing::Ndjson, Framing::Binary];
 
@@ -28,14 +32,13 @@ fn depths(quick: bool) -> &'static [usize] {
 
 pub fn measure(quick: bool) -> Vec<LoadRow> {
     let (server, registry) = spawn_loopback(SHARDS);
-    let events = if quick { 500 } else { 2_500 };
     let rows = run_matrix(
         &server.addr().to_string(),
         &FRAMINGS,
         depths(quick),
         TENANTS,
         TENANTS,
-        events,
+        EVENTS_PER_TENANT,
         2012,
     )
     .expect("the loopback load matrix runs");
@@ -49,8 +52,7 @@ pub fn measure(quick: bool) -> Vec<LoadRow> {
 /// percentiles.  The NDJSON depth-1 baseline reads exactly 1.0, the best binary
 /// cell is at least as fast as the best NDJSON cell (the compact framing pays
 /// for itself even on a short drive), and pipelined binary beats the NDJSON
-/// lockstep baseline by 3x — parity under `--quick`, where the short drive
-/// leaves throughput noise-dominated.
+/// lockstep baseline by 3x — parity under `--quick`, whose grid stops at depth 8.
 pub fn check(rows: &[LoadRow], quick: bool) -> Vec<String> {
     let mut failures = Vec::new();
     for r in rows {

@@ -41,10 +41,17 @@
 //!
 //! * **Warm start** — the incumbent opens as the better of the paper's FirstFit
 //!   (canonical longest-first order) and FirstFit in branch order, then *polished* by a
-//!   strictly-improving single-job relocation descent (`polish`).  Every new
-//!   incumbent the search finds is polished the same way: on instances whose optimum
-//!   meets the clique relaxation, landing the incumbent on it ends the search
-//!   immediately, so incumbent quality is a pruning lever, not cosmetics.
+//!   strictly-improving single-job relocation descent (`polish`).  FirstFit in branch
+//!   order is read off the same thread ends the search keeps, and both candidates are
+//!   priced by one reach sweep over the jobs in start order.  The descent keeps each
+//!   machine's jobs in start order, so a move is priced by one forward pass over the
+//!   target's jobs clipped to the job's window — it stops at the first start past the
+//!   window and keeps fewer than `g` live ends for the capacity test, with no sort —
+//!   and after the first sweep it re-examines only the jobs whose window a move
+//!   touched.  Every new incumbent the search finds is polished the same way: on
+//!   instances whose optimum meets the clique relaxation, landing the incumbent on it
+//!   ends the search immediately, so incumbent quality is a pruning lever, not
+//!   cosmetics.
 //! * **Static clique relaxation** — `Σ len·need = ∫ ⌈depth(t)/g⌉ dt` over the whole
 //!   component: the ledger's total before any job is placed.  No schedule can beat it
 //!   (Observation 2.1 generalized pointwise).
@@ -78,7 +85,7 @@
 
 use std::time::Instant;
 
-use busytime::minbusy::{first_fit, first_fit_in_order};
+use busytime::minbusy::first_fit;
 use busytime::{Duration, ExactBudget, ExactOutcome, Instance, Schedule};
 use busytime_interval::Interval;
 
@@ -89,7 +96,28 @@ use busytime_interval::Interval;
 /// incumbent schedule — when it does not.  Any instance size is accepted; unlike the
 /// subset DP there is no hard job-count ceiling, only the budget.
 pub fn branch_and_bound(instance: &Instance, budget: &ExactBudget) -> ExactOutcome {
-    branch_and_bound_with_visitor(instance, budget, None)
+    run(instance, budget, None, &mut SearchStats::default())
+}
+
+/// What a search did, counted as it ran (summed over components and read only by
+/// the tests, which pin them so that a change that reshapes the tree shows here).
+#[cfg_attr(not(test), allow(dead_code))]
+#[derive(Default)]
+pub(crate) struct SearchStats {
+    /// Children generated: every distinct machine with a free thread, plus the fresh one.
+    pub children: u64,
+    /// Children pruned by the committed or static bound before placement.
+    pub pruned_committed: u64,
+    /// Children placed and then pruned by the pricing bound.
+    pub pruned_pricing: u64,
+    /// Complete assignments reached.
+    pub leaves: u64,
+    /// Leaves that improved the incumbent.
+    pub improvements: u64,
+    /// Passes of the relocation descent over a component's jobs, root and leaves.
+    pub polish_sweeps: u64,
+    /// Relocations the descent made.
+    pub polish_moves: u64,
 }
 
 /// What the search exposes at every explored node (test hook for bound soundness; the
@@ -111,10 +139,22 @@ pub(crate) type NodeVisitor<'a> = dyn FnMut(&Instance, &NodeView<'_>) + 'a;
 
 /// [`branch_and_bound`] with an optional per-node visitor (used by the bound-soundness
 /// proptests to cross-check every explored node).
+#[cfg(test)]
 pub(crate) fn branch_and_bound_with_visitor(
     instance: &Instance,
     budget: &ExactBudget,
+    visitor: Option<&mut NodeVisitor<'_>>,
+) -> ExactOutcome {
+    run(instance, budget, visitor, &mut SearchStats::default())
+}
+
+/// The search behind [`branch_and_bound`]: one per component, under one budget,
+/// handing each node to `visitor` and counting into `stats`.
+fn run(
+    instance: &Instance,
+    budget: &ExactBudget,
     mut visitor: Option<&mut NodeVisitor<'_>>,
+    stats: &mut SearchStats,
 ) -> ExactOutcome {
     let n = instance.len();
     if n == 0 {
@@ -136,7 +176,14 @@ pub(crate) fn branch_and_bound_with_visitor(
     for ids in instance.connected_components() {
         let (comp, mapping) = instance.sub_instance(&ids);
         let reborrowed: Option<&mut NodeVisitor<'_>> = visitor.as_deref_mut();
-        let result = solve_component(&comp, budget.max_nodes, deadline, &mut nodes, reborrowed);
+        let result = solve_component(
+            &comp,
+            budget.max_nodes,
+            deadline,
+            &mut nodes,
+            reborrowed,
+            stats,
+        );
         for (local, &machine) in result.assignment.iter().enumerate() {
             schedule.assign(mapping[local], machine_offset + machine);
         }
@@ -162,119 +209,188 @@ pub(crate) fn branch_and_bound_with_visitor(
     }
 }
 
-/// Reusable scratch for pricing one job window against one machine group in
-/// [`polish`]: the group's jobs clipped to the window, as sweep events.
-#[derive(Default)]
-struct WindowProbe {
-    events: Vec<(i64, i32)>,
+/// Busy time of a complete assignment in one pass over the jobs.  A component's job
+/// ids are in start order, so each machine's busy time grows by the part of the next
+/// job's window past the machine's reach (its furthest end so far).
+fn busy_time(comp: &Instance, assignment: &[usize]) -> i64 {
+    let mut reach: Vec<i64> = Vec::new();
+    let mut cost = 0;
+    for (iv, &m) in comp.jobs().iter().zip(assignment) {
+        if m >= reach.len() {
+            reach.resize(m + 1, i64::MIN);
+        }
+        let (s, e) = (iv.start().ticks(), iv.end().ticks());
+        let from = s.max(reach[m]);
+        if e > from {
+            cost += e - from;
+            reach[m] = e;
+        }
+    }
+    cost
 }
 
-impl WindowProbe {
-    /// `(covered, depth)` of `group` (minus job `skip`) inside the window `[s, e)`: the
-    /// length of the window its jobs cover, and the most of them running at once there.
-    fn measure(
+/// FirstFit in branch order, on the search's own representation: jobs arrive in
+/// non-decreasing start order, so a thread is free iff its end is `≤ s` (module
+/// docs), and each job takes the first free thread of the first machine, in opening
+/// order, that has one — the placement `first_fit_in_order(comp, order)` makes.
+/// Returns `assignment[job] = machine`.
+fn first_fit_in_branch_order(order: &[usize], span: &[(u32, u32)], threads: usize) -> Vec<usize> {
+    // `ends[m * threads + t]`: the end of thread `t` of machine `m` (0 while empty).
+    let mut ends: Vec<u32> = Vec::new();
+    let mut assignment = vec![0; span.len()];
+    for &job in order {
+        let (s, e) = span[job];
+        let slot = ends.iter().position(|&end| end <= s).unwrap_or_else(|| {
+            ends.resize(ends.len() + threads, 0);
+            ends.len() - threads
+        });
+        ends[slot] = e;
+        assignment[job] = slot / threads;
+    }
+    assignment
+}
+
+/// Reusable scratch for pricing one job window against one machine's jobs in
+/// [`polish`].  Each machine keeps its jobs in id order, which in a component is
+/// start order, so one forward pass clips them to the window and stops at the first
+/// start past it.
+#[derive(Default)]
+struct Probe {
+    /// Ends of the clipped jobs still running at the current start: fewer than `g`.
+    live: Vec<i64>,
+}
+
+impl Probe {
+    /// How much of `[s, e)` the jobs of `group` other than `skip` cover.  Given a
+    /// `capacity`, `None` instead if that many of them run at once inside the window
+    /// (then the machine has no thread for it).
+    fn covered(
         &mut self,
-        comp: &Instance,
+        jobs: &[Interval],
         group: &[usize],
         (s, e): (i64, i64),
         skip: usize,
-    ) -> (i64, usize) {
-        self.events.clear();
+        capacity: Option<usize>,
+    ) -> Option<i64> {
+        self.live.clear();
+        let (mut covered, mut reach) = (0i64, s);
         for &j in group {
-            let iv = comp.job(j);
-            let (a, b) = (iv.start().ticks(), iv.end().ticks());
-            if j != skip && a < e && s < b {
-                self.events.push((a.max(s), 1));
-                self.events.push((b.min(e), -1));
+            let (a, b) = (jobs[j].start().ticks(), jobs[j].end().ticks());
+            if a >= e {
+                break;
+            }
+            if b <= s || j == skip {
+                continue;
+            }
+            let (a, b) = (a.max(s), b.min(e));
+            if b > reach {
+                covered += b - a.max(reach);
+                reach = b;
+            }
+            if let Some(g) = capacity {
+                // Touching jobs do not overlap: a job ending at `a` has stopped.
+                self.live.retain(|&end| end > a);
+                if self.live.len() + 1 >= g {
+                    return None;
+                }
+                self.live.push(b);
             }
         }
-        // Ends sort before starts at equal time: touching jobs do not overlap.
-        self.events.sort_unstable();
-        let (mut covered, mut depth, mut deepest, mut prev) = (0i64, 0i32, 0i32, s);
-        for &(x, step) in &self.events {
-            if depth > 0 {
-                covered += x - prev;
-            }
-            depth += step;
-            deepest = deepest.max(depth);
-            prev = x;
-        }
-        (covered, deepest as usize)
+        Some(covered)
     }
 }
 
-/// Strictly-improving single-job relocation descent on a complete assignment: move any
-/// job to an open machine (or a fresh one) whenever the move lowers total busy time,
-/// until no such move exists or `deadline` passes.  Total cost is a strictly
-/// decreasing non-negative integer, so the loop terminates; stopping early leaves a
-/// valid assignment whose cost is the returned value.
+/// Strictly-improving single-job relocation descent on a complete assignment whose
+/// busy time is `cost`: move any job to another open machine whenever the move lowers
+/// total busy time, until no such move exists or `deadline` passes.  Total cost is a
+/// strictly decreasing non-negative integer, so the loop terminates; stopping early
+/// leaves a valid assignment whose cost is the returned value.
 ///
 /// A move is priced from the job's window alone: it frees the part of the window no
 /// other job on its machine covers, and costs the part the target leaves uncovered.
 /// The target is feasible iff fewer than `g` of its jobs run at once inside the window
-/// (the group itself already respects `g`), so no thread bookkeeping is needed.
+/// (the group itself already respects `g`), so no thread bookkeeping is needed.  A
+/// fresh machine would cost the whole window, never less than the move frees, so it
+/// is never a target.
+///
+/// Every price a job reads is a machine's jobs clipped to the job's window, so after
+/// the first sweep a job is examined again only if a move since its last look touched
+/// its window; any other job would stay put again.
 ///
 /// Returns the polished cost; `assignment` is rewritten in place (machine ids stay
 /// contiguous from 0).
-fn polish(comp: &Instance, assignment: &mut [usize], deadline: Option<Instant>) -> i64 {
-    let g = comp.capacity();
+fn polish(
+    comp: &Instance,
+    assignment: &mut [usize],
+    mut cost: i64,
+    deadline: Option<Instant>,
+    stats: &mut SearchStats,
+) -> i64 {
+    debug_assert_eq!(cost, busy_time(comp, assignment));
+    let (g, jobs) = (comp.capacity(), comp.jobs());
+    let window = |j: usize| (jobs[j].start().ticks(), jobs[j].end().ticks());
     let machines = assignment.iter().copied().max().map_or(0, |m| m + 1);
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); machines];
     for (job, &m) in assignment.iter().enumerate() {
         groups[m].push(job);
     }
-    let mut probe = WindowProbe::default();
-    let everywhere = (i64::MIN, i64::MAX);
-    let mut cost: i64 = groups
-        .iter()
-        .map(|group| probe.measure(comp, group, everywhere, usize::MAX).0)
-        .sum();
+    let mut probe = Probe::default();
+    let mut stale = vec![true; jobs.len()];
     'descent: loop {
+        stats.polish_sweeps += 1;
         let mut improved = false;
-        // A move rewrites `assignment[job]` and two `groups` entries mid-scan,
-        // so indexed access is required here.
-        #[allow(clippy::needless_range_loop)]
-        for job in 0..comp.len() {
+        for job in 0..jobs.len() {
+            if !stale[job] {
+                continue;
+            }
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 break 'descent;
             }
-            let iv = comp.job(job);
-            let window = (iv.start().ticks(), iv.end().ticks());
-            let fresh = iv.len().ticks();
+            stale[job] = false;
+            let (s, e) = window(job);
             let source = assignment[job];
-            let gain = fresh - probe.measure(comp, &groups[source], window, job).0;
+            let kept = probe.covered(jobs, &groups[source], (s, e), job, None);
+            let gain = (e - s) - kept.expect("no capacity, so a price");
             if gain <= 0 {
                 continue;
             }
-            // Cheapest feasible target strictly better than staying put; a fresh
-            // machine (cost = the job's own length) is always feasible.
+            // The cheapest feasible target, the first of equals.
             let mut best: Option<(usize, i64)> = None;
             for (m, group) in groups.iter().enumerate() {
                 if m == source {
                     continue;
                 }
-                let (covered, depth) = probe.measure(comp, group, window, usize::MAX);
-                if depth >= g {
+                let Some(covered) = probe.covered(jobs, group, (s, e), usize::MAX, Some(g)) else {
                     continue;
-                }
-                let added = fresh - covered;
+                };
+                let added = (e - s) - covered;
                 if best.is_none_or(|(_, b)| added < b) {
                     best = Some((m, added));
                 }
             }
-            let (target, added) = match best {
-                Some((m, added)) if added <= fresh => (m, added),
-                _ => (groups.len(), fresh),
+            let Some((target, added)) = best.filter(|&(_, added)| added < gain) else {
+                continue;
             };
-            if added < gain {
-                if target == groups.len() {
-                    groups.push(Vec::new());
+            let at = groups[source]
+                .binary_search(&job)
+                .expect("job on its machine");
+            groups[source].remove(at);
+            let at = groups[target].binary_search(&job).unwrap_err();
+            groups[target].insert(at, job);
+            assignment[job] = target;
+            cost -= gain - added;
+            improved = true;
+            stats.polish_moves += 1;
+            // The move changed two machines inside every window that overlaps the
+            // job's; job ids are in start order, so the first start at `e` ends them.
+            for (other, flag) in stale.iter_mut().enumerate() {
+                let (a, b) = window(other);
+                if a >= e {
+                    break;
                 }
-                groups[source].retain(|&j| j != job);
-                groups[target].push(job);
-                assignment[job] = target;
-                cost -= gain - added;
-                improved = true;
+                if b > s {
+                    *flag = true;
+                }
             }
         }
         if !improved {
@@ -309,39 +425,48 @@ struct ComponentResult {
     machines_used: usize,
 }
 
+/// The order the search assigns jobs in: earliest start first, ties longest first.
+fn branch_order(comp: &Instance) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..comp.len()).collect();
+    order.sort_by_key(|&j| {
+        let iv = comp.job(j);
+        (iv.start().ticks(), -iv.end().ticks(), j)
+    });
+    order
+}
+
 fn solve_component(
     comp: &Instance,
     max_nodes: u64,
     deadline: Option<Instant>,
     nodes: &mut u64,
     visitor: Option<&mut NodeVisitor<'_>>,
+    stats: &mut SearchStats,
 ) -> ComponentResult {
     let n = comp.len();
     let (ledger, span) = Ledger::new(comp);
     let static_lb = ledger.total;
 
-    // Branch order: earliest start first, ties longest first.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&j| {
-        let iv = comp.job(j);
-        (iv.start().ticks(), -iv.end().ticks(), j)
-    });
+    let order = branch_order(comp);
 
-    // Warm start: the better of canonical FirstFit and FirstFit in branch order,
-    // then relocation-polished — on components whose optimum meets the clique
-    // relaxation this alone can end the search before it starts.
-    let warm = [first_fit(comp), first_fit_in_order(comp, &order)]
-        .into_iter()
-        .min_by_key(|s| s.cost(comp))
-        .expect("two warm-start candidates");
-    let mut best_assignment: Vec<usize> = warm
+    // Warm start: the better of canonical FirstFit and FirstFit in branch order (the
+    // canonical one on a tie), then relocation-polished — on components whose optimum
+    // meets the clique relaxation this alone can end the search before it starts.
+    let threads = comp.capacity().min(n);
+    let canonical: Vec<usize> = first_fit(comp)
         .assignment()
         .iter()
         .map(|m| m.expect("first_fit schedules every job"))
         .collect();
-    let best_cost = polish(comp, &mut best_assignment, deadline);
+    let in_order = first_fit_in_branch_order(&order, &span, threads);
+    let (canonical_cost, in_order_cost) = (busy_time(comp, &canonical), busy_time(comp, &in_order));
+    let (mut best_assignment, warm_cost) = if in_order_cost < canonical_cost {
+        (in_order, in_order_cost)
+    } else {
+        (canonical, canonical_cost)
+    };
+    let best_cost = polish(comp, &mut best_assignment, warm_cost, deadline, stats);
 
-    let threads = comp.capacity().min(n);
     let mut search = Search {
         comp,
         order,
@@ -362,6 +487,7 @@ fn solve_component(
         exhausted: false,
         abandoned_lb: i64::MAX,
         visitor,
+        stats,
     };
     // The warm start may already match the relaxation; then no node needs exploring.
     if search.best_cost > static_lb {
@@ -548,6 +674,7 @@ struct Search<'a, 'v> {
     /// Smallest node bound among subtrees abandoned by the budget (`i64::MAX` = none).
     abandoned_lb: i64,
     visitor: Option<&'a mut NodeVisitor<'v>>,
+    stats: &'a mut SearchStats,
 }
 
 impl Search<'_, '_> {
@@ -569,9 +696,17 @@ impl Search<'_, '_> {
             // Strictly better only: ties keep the earlier (canonical) incumbent.
             // Polishing the found leaf may tunnel below anything this DFS region
             // can reach, pruning the rest of it wholesale.
+            self.stats.leaves += 1;
             if committed < self.best_cost {
+                self.stats.improvements += 1;
                 let mut polished = self.current.clone();
-                let polished_cost = polish(self.comp, &mut polished, self.deadline);
+                let polished_cost = polish(
+                    self.comp,
+                    &mut polished,
+                    committed,
+                    self.deadline,
+                    self.stats,
+                );
                 debug_assert!(polished_cost <= committed);
                 self.best_cost = polished_cost;
                 self.best_assignment = polished;
@@ -616,11 +751,13 @@ impl Search<'_, '_> {
             delta: self.ledger.length(s, e),
         };
         self.push_child(base, fresh);
+        self.stats.children += (self.children.len() - base) as u64;
 
         for i in base..self.children.len() {
             let child = self.children[i];
             let child_committed = committed + child.delta;
             if child_committed.max(self.static_lb) >= self.best_cost {
+                self.stats.pruned_committed += 1;
                 continue;
             }
             let placed = self.place(job, child);
@@ -628,6 +765,8 @@ impl Search<'_, '_> {
             debug_assert!(child_lb >= child_committed && child_lb >= self.static_lb);
             if child_lb < self.best_cost {
                 self.dfs(depth + 1, child_committed);
+            } else {
+                self.stats.pruned_pricing += 1;
             }
             self.unplace(job, child, placed);
         }
@@ -747,9 +886,182 @@ impl Search<'_, '_> {
 mod tests {
     use super::*;
     use crate::{exact_minbusy_cost, MAX_EXACT_JOBS};
+    use busytime::minbusy::first_fit_in_order;
     use busytime_interval::union;
     use busytime_workload::{general_instance, proper_instance, seeded_rng};
     use proptest::prelude::*;
+
+    /// The reference [`polish`] is pinned to: the same descent, written the plain way.
+    /// Every probe collects the group's jobs clipped to the window as sweep events
+    /// and sorts them, every sweep examines every job, and a fresh machine is priced
+    /// as a target too.
+    fn reference_polish(
+        comp: &Instance,
+        assignment: &mut [usize],
+        deadline: Option<Instant>,
+    ) -> i64 {
+        let g = comp.capacity();
+        let machines = assignment.iter().copied().max().map_or(0, |m| m + 1);
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); machines];
+        for (job, &m) in assignment.iter().enumerate() {
+            groups[m].push(job);
+        }
+        let mut events: Vec<(i64, i32)> = Vec::new();
+        // `(covered, depth)` of `group` (minus job `skip`) inside the window `[s, e)`.
+        let mut measure = |group: &[usize], (s, e): (i64, i64), skip: usize| {
+            events.clear();
+            for &j in group {
+                let iv = comp.job(j);
+                let (a, b) = (iv.start().ticks(), iv.end().ticks());
+                if j != skip && a < e && s < b {
+                    events.push((a.max(s), 1));
+                    events.push((b.min(e), -1));
+                }
+            }
+            // Ends sort before starts at equal time: touching jobs do not overlap.
+            events.sort_unstable();
+            let (mut covered, mut depth, mut deepest, mut prev) = (0i64, 0i32, 0i32, s);
+            for &(x, step) in &events {
+                if depth > 0 {
+                    covered += x - prev;
+                }
+                depth += step;
+                deepest = deepest.max(depth);
+                prev = x;
+            }
+            (covered, deepest as usize)
+        };
+        let everywhere = (i64::MIN, i64::MAX);
+        let mut cost: i64 = groups
+            .iter()
+            .map(|group| measure(group, everywhere, usize::MAX).0)
+            .sum();
+        'descent: loop {
+            let mut improved = false;
+            #[allow(clippy::needless_range_loop)]
+            for job in 0..comp.len() {
+                if deadline.is_some_and(|d| Instant::now() >= d) {
+                    break 'descent;
+                }
+                let iv = comp.job(job);
+                let window = (iv.start().ticks(), iv.end().ticks());
+                let fresh = iv.len().ticks();
+                let source = assignment[job];
+                let gain = fresh - measure(&groups[source], window, job).0;
+                if gain <= 0 {
+                    continue;
+                }
+                let mut best: Option<(usize, i64)> = None;
+                for (m, group) in groups.iter().enumerate() {
+                    if m == source {
+                        continue;
+                    }
+                    let (covered, depth) = measure(group, window, usize::MAX);
+                    if depth >= g {
+                        continue;
+                    }
+                    let added = fresh - covered;
+                    if best.is_none_or(|(_, b)| added < b) {
+                        best = Some((m, added));
+                    }
+                }
+                let (target, added) = match best {
+                    Some((m, added)) if added <= fresh => (m, added),
+                    _ => (groups.len(), fresh),
+                };
+                if added < gain {
+                    if target == groups.len() {
+                        groups.push(Vec::new());
+                    }
+                    groups[source].retain(|&j| j != job);
+                    groups[target].push(job);
+                    assignment[job] = target;
+                    cost -= gain - added;
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        let mut next = 0usize;
+        let mut remap: Vec<Option<usize>> = vec![None; groups.len()];
+        for m in assignment.iter_mut() {
+            let id = *remap[*m].get_or_insert_with(|| {
+                let id = next;
+                next += 1;
+                id
+            });
+            *m = id;
+        }
+        cost
+    }
+
+    /// `picks` folded onto `machines` machines, one per job of `inst`.
+    fn assignment_from(inst: &Instance, picks: &[usize], machines: usize) -> Vec<usize> {
+        (0..inst.len())
+            .map(|j| picks[j % picks.len()] % machines)
+            .collect()
+    }
+
+    /// [`polish`] and [`reference_polish`] on the same assignment reach the same cost
+    /// and the same assignment; the warm-start price agrees with `Schedule::cost`.
+    fn assert_polish_matches_reference(inst: &Instance, assignment: &[usize], expired: bool) {
+        let schedule = Schedule::from_assignment(assignment.iter().map(|&m| Some(m)).collect());
+        let cost = busy_time(inst, assignment);
+        assert_eq!(
+            cost,
+            schedule.cost(inst).ticks(),
+            "busy_time vs Schedule::cost"
+        );
+        let deadline = expired.then(Instant::now);
+        let (mut fast, mut slow) = (assignment.to_vec(), assignment.to_vec());
+        let fast_cost = polish(inst, &mut fast, cost, deadline, &mut SearchStats::default());
+        let slow_cost = reference_polish(inst, &mut slow, deadline);
+        assert_eq!(
+            (fast_cost, &fast),
+            (slow_cost, &slow),
+            "polish vs reference"
+        );
+        assert_eq!(fast_cost, busy_time(inst, &fast));
+    }
+
+    /// FirstFit read off the search's representation is `first_fit_in_order` in branch
+    /// order, machine for machine.
+    fn assert_first_fit_matches(inst: &Instance) {
+        let order = branch_order(inst);
+        let (_, span) = Ledger::new(inst);
+        let threads = inst.capacity().min(inst.len());
+        let expected: Vec<usize> = first_fit_in_order(inst, &order)
+            .assignment()
+            .iter()
+            .map(|m| m.expect("FirstFit schedules every job"))
+            .collect();
+        assert_eq!(first_fit_in_branch_order(&order, &span, threads), expected);
+    }
+
+    #[test]
+    fn polish_matches_reference_on_hand_picked_shapes() {
+        // Touching endpoints (a job ending where another starts does not run with
+        // it) at g = 1 and 2, verbatim duplicates at g = 1, and a capacity above n.
+        let touching = [(0, 4), (4, 8), (8, 12), (2, 6), (6, 10), (4, 6)];
+        let instances = [
+            Instance::from_ticks(&touching, 1),
+            Instance::from_ticks(&touching, 2),
+            Instance::from_ticks(&[(3, 9); 5], 1),
+            Instance::from_ticks(&[(0, 5), (1, 6), (2, 7), (3, 8)], 9),
+        ];
+        for inst in &instances {
+            let n = inst.len();
+            for machines in 1..=n {
+                let spread: Vec<usize> = (0..n).map(|j| j % machines).collect();
+                for expired in [false, true] {
+                    assert_polish_matches_reference(inst, &spread, expired);
+                }
+            }
+            assert_first_fit_matches(inst);
+        }
+    }
 
     fn solved(instance: &Instance) -> (Schedule, Duration, u64) {
         match branch_and_bound(instance, &ExactBudget::default()) {
@@ -946,6 +1258,57 @@ mod tests {
         assert_eq!(ledger.total, 17);
     }
 
+    /// The benchmark-shaped rows of `tests/exact_bnb_oracle.rs` (capacity 4, a
+    /// 300-node budget): what each search did, as `(family, jobs, seed)` and then
+    /// children, pruned before placement, pruned after placement, leaves, incumbent
+    /// improvements, polish sweeps and polish moves.  A change that claims to keep the
+    /// search tree keeps every count.
+    #[rustfmt::skip]
+    const PINNED_STATS: &[(&str, usize, u64, [u64; 7])] = &[
+        ("proper-dense", 30, 0, [723, 90, 318, 1, 1, 4, 2]),
+        ("proper-dense", 30, 1, [1024, 475, 226, 0, 0, 1, 0]),
+        ("proper-dense", 30, 2, [654, 238, 93, 0, 0, 2, 3]),
+        ("proper-dense", 30, 3, [774, 264, 186, 0, 0, 3, 2]),
+        ("proper-dense", 30, 4, [881, 452, 108, 0, 0, 1, 0]),
+        ("proper-dense", 30, 5, [712, 252, 142, 0, 0, 3, 2]),
+        ("proper-dense", 36, 0, [800, 351, 118, 0, 0, 4, 5]),
+        ("proper-dense", 36, 1, [753, 401, 12, 0, 0, 3, 4]),
+        ("proper-dense", 36, 2, [967, 480, 153, 0, 0, 3, 3]),
+        ("proper-dense", 36, 3, [594, 191, 76, 0, 0, 2, 1]),
+        ("general", 20, 0, [0, 0, 0, 0, 0, 7, 0]),
+        ("general", 20, 7, [31, 12, 6, 0, 0, 5, 0]),
+        ("general", 20, 9, [28, 8, 8, 0, 0, 9, 0]),
+        ("general", 20, 70, [77, 33, 13, 2, 2, 9, 0]),
+        ("general", 20, 165, [63, 14, 22, 2, 2, 7, 0]),
+    ];
+
+    #[test]
+    fn search_stats_reproduce_the_pinned_rows() {
+        let budget = ExactBudget {
+            max_nodes: 300,
+            max_millis: None,
+        };
+        for &(family, jobs, seed, pinned) in PINNED_STATS {
+            let rng = &mut seeded_rng(seed);
+            let inst = match family {
+                "proper-dense" => proper_instance(rng, jobs, 4, 40, 8),
+                _ => general_instance(rng, jobs, 4, 300, 30),
+            };
+            let mut s = SearchStats::default();
+            run(&inst, &budget, None, &mut s);
+            let counts = [
+                s.children,
+                s.pruned_committed,
+                s.pruned_pricing,
+                s.leaves,
+                s.improvements,
+                s.polish_sweeps,
+                s.polish_moves,
+            ];
+            assert_eq!(counts, pinned, "{family} n={jobs} seed={seed}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1011,6 +1374,42 @@ mod tests {
             let dup: Vec<(i64, i64)> = jobs.iter().copied().cycle().take(copies).collect();
             jobs.extend(dup);
             check_ledger_at_every_node(&Instance::from_ticks(&jobs, g));
+        }
+
+        /// The sort-free polish ≡ the sort-based reference on random (not FirstFit)
+        /// assignments of general instances, from g = 1 up past n; FirstFit in branch
+        /// order ≡ `first_fit_in_order`.
+        #[test]
+        fn polish_matches_reference_on_general_instances(
+            seed in 0u64..5_000,
+            n in 1usize..24,
+            g in 1usize..26,
+            machines in 1usize..9,
+            picks in prop::collection::vec(0usize..64, 1..24),
+            expired in any::<bool>(),
+        ) {
+            let inst = general_instance(&mut seeded_rng(seed), n, g, 120, 30);
+            assert_polish_matches_reference(&inst, &assignment_from(&inst, &picks, machines), expired);
+            assert_first_fit_matches(&inst);
+        }
+
+        /// …and on overlap-heavy instances with touching endpoints and verbatim
+        /// duplicates.
+        #[test]
+        fn polish_matches_reference_on_overlap_heavy_duplicates(
+            jobs in prop::collection::vec((-6i64..6, 1i64..15), 1..12),
+            copies in 1usize..6,
+            g in 1usize..6,
+            machines in 1usize..7,
+            picks in prop::collection::vec(0usize..64, 1..24),
+            expired in any::<bool>(),
+        ) {
+            let mut jobs: Vec<(i64, i64)> = jobs.into_iter().map(|(s, l)| (s, s + l)).collect();
+            let dup: Vec<(i64, i64)> = jobs.iter().copied().cycle().take(copies).collect();
+            jobs.extend(dup);
+            let inst = Instance::from_ticks(&jobs, g);
+            assert_polish_matches_reference(&inst, &assignment_from(&inst, &picks, machines), expired);
+            assert_first_fit_matches(&inst);
         }
 
         /// Starving the budget still yields a sound bracket: `lower ≤ OPT ≤ upper`,

@@ -20,8 +20,11 @@
 //! like [`Client`] — satisfies this trivially).
 //!
 //! Malformed NDJSON lines get an `{"ok": false, …}` response and the connection
-//! stays usable.  A malformed **binary** frame cannot be skipped — the stream has no
-//! recoverable frame boundary — so the handler answers a final error frame and drops
+//! stays usable.  A line is read through a cap of [`MAX_PAYLOAD`] bytes, the binary
+//! payload limit: one that reaches it without a newline is answered `malformed` and
+//! the connection drops, since there is no line boundary left to resync on.  A
+//! malformed **binary** frame cannot be skipped — the stream has no recoverable
+//! frame boundary — so the handler answers a final error frame and drops
 //! the connection; subsequent frames on *other* connections are unaffected, and the
 //! fuzz suite pins that no hostile byte soup can panic the daemon or desync an
 //! honest connection.  There is deliberately no protocol state on the connection
@@ -35,7 +38,7 @@
 //! [`Client::pipeline`] / [`Client::drive_trace_pipelined`].
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -47,7 +50,9 @@ use busytime::report::SimulationReport;
 use busytime::OnlinePolicy;
 
 use crate::faults::{FaultKind, FaultPlan};
-use crate::frame::{DecodeError, FrameRequest, FrameResponse, RequestFrame, ResponseFrame, MAGIC};
+use crate::frame::{
+    DecodeError, FrameRequest, FrameResponse, RequestFrame, ResponseFrame, MAGIC, MAX_PAYLOAD,
+};
 use crate::protocol::{ErrorCode, Request, Response, WireError};
 use crate::registry::Engine;
 
@@ -378,7 +383,7 @@ fn handle_connection(stream: TcpStream, engine: Engine) -> std::io::Result<()> {
     let mut writer = BufWriter::with_capacity(64 * 1024, stream);
     let mut bindings = Bindings::default();
     let mut scratch = Vec::with_capacity(256);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     'connection: loop {
         // Blocks only when nothing is buffered — and everything written so far
         // has been flushed by then, so the peer is never left waiting on us.
@@ -430,12 +435,30 @@ fn handle_connection(stream: TcpStream, engine: Engine) -> std::io::Result<()> {
                 }
             } else {
                 line.clear();
-                if reader.read_line(&mut line)? == 0 {
+                let read = (&mut reader)
+                    .take(MAX_PAYLOAD as u64 + 1)
+                    .read_until(b'\n', &mut line)?;
+                if read == 0 {
                     dispatch(&engine, batch, calls, &mut writer, &mut scratch)?;
                     gated_flush(faults.as_ref(), &mut writer)?;
                     break 'connection;
                 }
-                let text = line.trim();
+                if read > MAX_PAYLOAD && line.last() != Some(&b'\n') {
+                    // No newline within the cap: like a bad binary frame, there is no
+                    // boundary to resync on, so answer and drop the connection.
+                    let message = format!("request line longer than {MAX_PAYLOAD} bytes");
+                    batch.push(Pending::NdjsonReply(Response::fail(
+                        ErrorCode::Malformed,
+                        message,
+                    )));
+                    dispatch(&engine, batch, calls, &mut writer, &mut scratch)?;
+                    gated_flush(faults.as_ref(), &mut writer)?;
+                    break 'connection;
+                }
+                // A line that is not UTF-8 ends the connection.
+                let text = std::str::from_utf8(&line)
+                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
+                    .trim();
                 if !text.is_empty() {
                     batch.push(match Request::from_json(text) {
                         Ok(request) => {

@@ -329,3 +329,43 @@ fn malformed_lines_do_not_kill_the_connection() {
     };
     assert!(error.message.contains("unknown op"), "{error}");
 }
+
+#[test]
+fn an_over_long_line_is_answered_and_its_connection_closes() {
+    use busytime_server::frame::MAX_PAYLOAD;
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    let addr = spawn_server(1);
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    // A server that waits for the newline fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+
+    // One byte past the cap and no newline: exactly what the server reads before
+    // it gives up on the line, so nothing is left unread when it closes.
+    let chunk = vec![b'x'; 64 * 1024];
+    let mut left = MAX_PAYLOAD + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        stream.write_all(&chunk[..n]).unwrap();
+        left -= n;
+    }
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let Response::Error(error) = Response::from_json(line.trim_end()).unwrap() else {
+        panic!("expected an error, got {line}");
+    };
+    assert_eq!(error.code, busytime_server::ErrorCode::Malformed, "{error}");
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "the connection must close after the error");
+
+    // The daemon still serves a new connection.
+    let mut client = Client::connect(&addr).unwrap();
+    assert!(matches!(
+        client.call_ok(&Request::Stats).unwrap(),
+        Response::Stats { shards: 1, .. }
+    ));
+}

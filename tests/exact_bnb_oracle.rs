@@ -10,11 +10,12 @@
 //! containment chains, overlap-heavy cliques, and exact duplicate jobs (the stress
 //! case for the search's identical-machine dominance rule).
 //!
-//! A second table pins the *budgeted* search: the exact `(lower, upper, nodes)` of
-//! seeded instances shaped like the `exact_bound` benchmark set and of deeper rows
-//! from the scaling bench's exact grid.  A change that reshapes the search tree —
-//! branch order, child order, dominance, bounds, incumbents — fails here instead of
-//! silently moving a recorded bracket or `cost_ratio`.
+//! A second table pins the *budgeted* search: the exact `(lower, upper, nodes)` and
+//! the incumbent's busy time per machine of seeded instances shaped like the
+//! `exact_bound` benchmark set and of deeper rows from the scaling bench's exact
+//! grid.  A change that reshapes the search tree — branch order, child order,
+//! dominance, bounds, incumbents — fails here instead of silently moving a recorded
+//! bracket or `cost_ratio`.
 
 use busytime::{ExactBudget, ExactOutcome, Instance};
 use busytime_exact::{bnb, exact_minbusy};
@@ -114,8 +115,8 @@ fn bnb_matches_dp_on_degenerate_instances() {
     );
 }
 
-/// One pinned search: the instance's family and seed, its node budget, and the
-/// `(lower, upper, nodes)` the search must report.
+/// One pinned search: the instance's family and seed, its node budget, the
+/// `(lower, upper, nodes)` the search must report, and its incumbent's machines.
 struct Pinned {
     family: &'static str,
     jobs: usize,
@@ -124,6 +125,8 @@ struct Pinned {
     lower: i64,
     upper: i64,
     nodes: u64,
+    /// The incumbent's busy time per machine, machines in order of their first job.
+    busy: &'static [i64],
 }
 
 /// Capacity-4 instances of the benchmark's families (proper-dense: lengths ≤ 40,
@@ -141,27 +144,27 @@ fn pinned_instance(family: &str, jobs: usize, seed: u64) -> Instance {
 #[rustfmt::skip]
 const PINNED: &[Pinned] = &[
     // The benchmark's brackets: proper-dense n = 30 and 36 at its 300-node budget.
-    Pinned { family: "proper-dense", jobs: 30, seed: 0, max_nodes: 300, lower: 1310, upper: 1328, nodes: 300 },
-    Pinned { family: "proper-dense", jobs: 30, seed: 1, max_nodes: 300, lower: 1320, upper: 1354, nodes: 300 },
-    Pinned { family: "proper-dense", jobs: 30, seed: 2, max_nodes: 300, lower: 2698, upper: 2795, nodes: 300 },
-    Pinned { family: "proper-dense", jobs: 30, seed: 3, max_nodes: 300, lower: 2593, upper: 2630, nodes: 300 },
-    Pinned { family: "proper-dense", jobs: 30, seed: 4, max_nodes: 300, lower: 1745, upper: 1815, nodes: 300 },
-    Pinned { family: "proper-dense", jobs: 30, seed: 5, max_nodes: 300, lower: 2434, upper: 2476, nodes: 300 },
-    Pinned { family: "proper-dense", jobs: 36, seed: 0, max_nodes: 300, lower: 1976, upper: 2078, nodes: 300 },
-    Pinned { family: "proper-dense", jobs: 36, seed: 1, max_nodes: 300, lower: 1911, upper: 2013, nodes: 300 },
-    Pinned { family: "proper-dense", jobs: 36, seed: 2, max_nodes: 300, lower: 3777, upper: 3855, nodes: 300 },
-    Pinned { family: "proper-dense", jobs: 36, seed: 3, max_nodes: 300, lower: 3547, upper: 3606, nodes: 300 },
+    Pinned { family: "proper-dense", jobs: 30, seed: 0, max_nodes: 300, lower: 1310, upper: 1328, nodes: 300, busy: &[229, 135, 154, 202, 280, 328] },
+    Pinned { family: "proper-dense", jobs: 30, seed: 1, max_nodes: 300, lower: 1320, upper: 1354, nodes: 300, busy: &[456, 333, 166, 178, 221] },
+    Pinned { family: "proper-dense", jobs: 30, seed: 2, max_nodes: 300, lower: 2698, upper: 2795, nodes: 300, busy: &[140, 740, 220, 284, 384, 457, 570] },
+    Pinned { family: "proper-dense", jobs: 30, seed: 3, max_nodes: 300, lower: 2593, upper: 2630, nodes: 300, busy: &[610, 134, 261, 335, 377, 444, 469] },
+    Pinned { family: "proper-dense", jobs: 30, seed: 4, max_nodes: 300, lower: 1745, upper: 1815, nodes: 300, busy: &[409, 512, 164, 199, 243, 288] },
+    Pinned { family: "proper-dense", jobs: 30, seed: 5, max_nodes: 300, lower: 2434, upper: 2476, nodes: 300, busy: &[600, 136, 222, 292, 343, 407, 476] },
+    Pinned { family: "proper-dense", jobs: 36, seed: 0, max_nodes: 300, lower: 1976, upper: 2078, nodes: 300, busy: &[470, 562, 146, 147, 193, 242, 318] },
+    Pinned { family: "proper-dense", jobs: 36, seed: 1, max_nodes: 300, lower: 1911, upper: 2013, nodes: 300, busy: &[515, 406, 107, 184, 223, 263, 315] },
+    Pinned { family: "proper-dense", jobs: 36, seed: 2, max_nodes: 300, lower: 3777, upper: 3855, nodes: 300, busy: &[854, 203, 233, 343, 412, 516, 612, 682] },
+    Pinned { family: "proper-dense", jobs: 36, seed: 3, max_nodes: 300, lower: 3547, upper: 3606, nodes: 300, busy: &[762, 192, 296, 351, 425, 477, 519, 584] },
     // The benchmark's closers: general n = 20, one closed by the warm start alone
     // and four that need a search.
-    Pinned { family: "general", jobs: 20, seed: 0, max_nodes: 300, lower: 230, upper: 230, nodes: 0 },
-    Pinned { family: "general", jobs: 20, seed: 7, max_nodes: 300, lower: 239, upper: 239, nodes: 14 },
-    Pinned { family: "general", jobs: 20, seed: 9, max_nodes: 300, lower: 187, upper: 187, nodes: 13 },
-    Pinned { family: "general", jobs: 20, seed: 70, max_nodes: 300, lower: 185, upper: 185, nodes: 32 },
-    Pinned { family: "general", jobs: 20, seed: 165, max_nodes: 300, lower: 207, upper: 207, nodes: 28 },
+    Pinned { family: "general", jobs: 20, seed: 0, max_nodes: 300, lower: 230, upper: 230, nodes: 0, busy: &[28, 82, 4, 23, 21, 41, 31] },
+    Pinned { family: "general", jobs: 20, seed: 7, max_nodes: 300, lower: 239, upper: 239, nodes: 14, busy: &[38, 23, 39, 67, 17, 55] },
+    Pinned { family: "general", jobs: 20, seed: 9, max_nodes: 300, lower: 187, upper: 187, nodes: 13, busy: &[4, 17, 34, 6, 55, 12, 19, 8, 6, 26] },
+    Pinned { family: "general", jobs: 20, seed: 70, max_nodes: 300, lower: 185, upper: 185, nodes: 32, busy: &[11, 49, 28, 32, 5, 22, 16, 22] },
+    Pinned { family: "general", jobs: 20, seed: 165, max_nodes: 300, lower: 207, upper: 207, nodes: 28, busy: &[69, 29, 32, 43, 28, 6] },
     // Deeper rows of the scaling bench's exact grid (seed 2012) at 500k nodes.
-    Pinned { family: "general", jobs: 60, seed: 2012, max_nodes: 500_000, lower: 411, upper: 411, nodes: 20_349 },
-    Pinned { family: "proper-dense", jobs: 30, seed: 2012, max_nodes: 500_000, lower: 2261, upper: 2328, nodes: 500_000 },
-    Pinned { family: "cloud", jobs: 40, seed: 2012, max_nodes: 500_000, lower: 339, upper: 339, nodes: 241_245 },
+    Pinned { family: "general", jobs: 60, seed: 2012, max_nodes: 500_000, lower: 411, upper: 411, nodes: 20_349, busy: &[110, 146, 72, 44, 39] },
+    Pinned { family: "proper-dense", jobs: 30, seed: 2012, max_nodes: 500_000, lower: 2261, upper: 2328, nodes: 500_000, busy: &[744, 239, 168, 284, 397, 496] },
+    Pinned { family: "cloud", jobs: 40, seed: 2012, max_nodes: 500_000, lower: 339, upper: 339, nodes: 241_245, busy: &[10, 264, 65] },
 ];
 
 #[test]
@@ -198,6 +201,12 @@ fn budgeted_search_reproduces_the_pinned_brackets() {
             .validate_complete(&instance)
             .unwrap_or_else(|e| panic!("{context}: incumbent invalid: {e}"));
         assert_eq!(schedule.cost(&instance), upper, "{context}: incumbent cost");
+        let busy: Vec<i64> = schedule
+            .busy_times(&instance)
+            .iter()
+            .map(|b| b.ticks())
+            .collect();
+        assert_eq!(busy, pin.busy, "{context}: incumbent busy time per machine");
     }
 }
 
